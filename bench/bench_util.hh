@@ -114,17 +114,15 @@ matrixPointTask(const harness::SystemConfig& sys,
     task.key = [&sys, &apps, &opts, prog, kinds](std::size_t i) {
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
+        harness::RunOptions ro;
+        ro.simPartitions = opts.simPartitions;
         std::ostringstream id;
         id << prog << '|' << apps[a].name << '|'
            << harness::configName(kinds[k]) << "|dim="
            << sys.noc.dimension << "|seed=" << sys.seed
            << "|three=" << sys.memory.threeHopForwarding
-           << "|iters=" << apps[a].iterations;
-        // 0 means "the default plan for this node count" and hashes
-        // distinctly from an explicit count on purpose: cheap and
-        // always conservative.
-        if (opts.simPartitions != 0)
-            id << "|parts=" << opts.simPartitions;
+           << "|iters=" << apps[a].iterations
+           << "|parts=" << harness::resolvedSimPartitions(ro);
         return harness::fnv1a64(id.str());
     };
     task.seed = [&sys](std::size_t) { return sys.seed; };

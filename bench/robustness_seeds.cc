@@ -55,13 +55,14 @@ pointSpace()
 }
 
 /**
- * Run one point's Baseline/Halt/Thrifty triple. The artifact is the
+ * Run one point's Baseline/Halt/Thrifty triple under the
+ * @p sim_partitions plan (0 = default). The artifact is the
  * three campaign JSON lines followed by one `#metrics` trailer
  * carrying the savings/slowdown at full double precision, so the
  * cross-seed aggregation reproduces exactly from a journal replay.
  */
 std::string
-runPoint(const Point& p, std::size_t index,
+runPoint(const Point& p, std::size_t index, unsigned sim_partitions,
          harness::ObsCapture* capture)
 {
     using harness::ConfigKind;
@@ -80,6 +81,7 @@ runPoint(const Point& p, std::size_t index,
     // pids stay unique (point index * 3 + config).
     const auto run_one = [&](ConfigKind k, std::size_t sub) {
         harness::RunOptions ro;
+        ro.simPartitions = sim_partitions;
         harness::ObsCapture::PointScope scope;
         if (capture)
             capture->arm(index * 3 + sub, &ro, &scope);
@@ -153,6 +155,7 @@ main(int argc, char** argv)
         harness::ObsCapture capture(opts, "seeds");
         std::fputs(runPoint(p,
                             static_cast<std::size_t>(opts.onlyPoint),
+                            opts.simPartitions,
                             capture.active() ? &capture : nullptr)
                        .c_str(),
                    stdout);
@@ -166,13 +169,16 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "seeds");
     harness::PointTask task;
     task.run = [&](std::size_t i) {
-        return runPoint(points[i], i,
+        return runPoint(points[i], i, opts.simPartitions,
                         capture.active() ? &capture : nullptr);
     };
+    harness::RunOptions plan;
+    plan.simPartitions = opts.simPartitions;
     task.key = [&](std::size_t i) {
         return harness::fnv1a64(
             "seeds|" + std::to_string(points[i].seed) + '|' +
-            points[i].app);
+            points[i].app + "|parts=" +
+            std::to_string(harness::resolvedSimPartitions(plan)));
     };
     task.seed = [&](std::size_t i) { return points[i].seed; };
     task.repro = [&](std::size_t i) {

@@ -221,7 +221,8 @@ CampaignOptions::reproFlags() const
         flags += " --isolate";
     // Unlike --sim-threads, the partition count selects the
     // simulation plan and so shapes results: a repro command must
-    // carry it.
+    // carry it. Left unset it means the serial default, which a
+    // repro command gets without the flag.
     if (simPartitions != 0)
         flags += " --sim-partitions " + std::to_string(simPartitions);
     return flags;

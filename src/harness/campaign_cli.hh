@@ -12,7 +12,7 @@
  *                     (byte-identical results at any N; default 1)
  *   --sim-partitions P cluster partitions per simulation (selects the
  *                     simulation plan, so it IS part of each point's
- *                     identity; default: by node count)
+ *                     identity; default 1 = serial)
  *   --deadline-ms N   per-point wall-clock deadline (0 = none)
  *   --retries N       extra attempts per failed point
  *   --backoff-ms N    base of the exponential retry backoff
@@ -73,10 +73,11 @@ struct CampaignOptions
     unsigned simThreads = 1;
     /**
      * Cluster partitions per simulation (--sim-partitions,
-     * RunOptions::simPartitions); 0 = default for the node count.
-     * Unlike simThreads this selects the simulation *plan* and can
-     * change results, so it IS part of config hashes, journal keys,
-     * cache keys and reproFlags().
+     * RunOptions::simPartitions); 0 = the default plan, which is
+     * serial. Unlike simThreads this selects the simulation *plan* and
+     * can change results, so point keys carry the resolved count
+     * (resolvedSimPartitions: the default and an explicit 1 share a
+     * key) and reproFlags() carries an explicit count.
      */
     unsigned simPartitions = 0;
     std::string journalPath; ///< "" = no journal

@@ -103,6 +103,23 @@ ConfigBarrierProvider::mergeStats()
         b->mergeStats();
 }
 
+unsigned
+resolvedSimPartitions(const RunOptions& options)
+{
+    // Serial-only features — the checker's totally-ordered event
+    // stream, fault hooks, structured tracing, the hardening ladder's
+    // shared quarantine map — force one partition. A fault spec always
+    // brings hardening with it (runExperiment), so it is covered too.
+    const bool force_serial =
+        options.check || check::checkedByDefault() ||
+        (options.faults && options.faults->enabled()) ||
+        options.traceSink ||
+        (options.customConfig && options.customConfig->hardening.enabled);
+    if (force_serial || options.simPartitions == 0)
+        return 1;
+    return options.simPartitions;
+}
+
 ExperimentResult
 runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
               ConfigKind kind, const RunOptions& options)
@@ -139,20 +156,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
         custom = &hardened;
     }
 
-    // Pick the simulation plan. Serial-only features — the checker's
-    // totally-ordered event stream, fault hooks, structured tracing,
-    // the hardening ladder's shared quarantine map — force one
-    // partition; everything else runs the partitioned plan so a
-    // single simulation can use multiple host threads.
-    const bool force_serial =
-        checker || injector || options.traceSink ||
-        (custom && custom->hardening.enabled);
-    const unsigned default_parts =
-        sys.numNodes() >= 16 ? sys.numNodes() / 8 : 1;
-    const unsigned parts =
-        force_serial ? 1
-                     : (options.simPartitions ? options.simPartitions
-                                              : default_parts);
+    const unsigned parts = resolvedSimPartitions(options);
 
     Machine machine(sys, parts);
     if (checker)

@@ -189,14 +189,18 @@ struct RunOptions
     unsigned simThreads = 1;
     /**
      * Cluster partitions the machine is split into for PDES execution
-     * (harness/machine.hh); 0 picks the default for the node count
-     * (nodes/8 for machines of 16+ nodes, else 1). Unlike simThreads,
-     * the partition count IS part of the simulation plan: serial and
-     * partitioned plans order some bookkeeping differently (see
-     * docs/PERFORMANCE.md), so runs only promise byte-identical
-     * results across simThreads *within* one partition count. Runs
-     * that need the serial plan (checker, fault injection, structured
-     * tracing, hardening) force 1 regardless.
+     * (harness/machine.hh); 0 = the default plan, which is one
+     * partition (the serial plan) at every node count. On the 64-node
+     * paper machine the 8-cluster plan fires about 0.05 events per
+     * lookahead window and runs slower at every thread count
+     * (docs/PERFORMANCE.md), so a partitioned plan is opt-in. Unlike
+     * simThreads, the partition count IS part of the simulation plan:
+     * serial and partitioned plans order some bookkeeping differently,
+     * so runs only promise byte-identical results across simThreads
+     * *within* one partition count. Runs that need the serial plan
+     * (checker, fault injection, structured tracing, hardening) force
+     * 1 regardless. resolvedSimPartitions() gives the count a run
+     * actually uses.
      */
     unsigned simPartitions = 0;
 };
@@ -205,6 +209,15 @@ struct RunOptions
  * Run @p app under configuration @p kind on a fresh machine built
  * from @p sys.
  */
+/**
+ * Partition count runExperiment uses for @p options: 1 when the run
+ * needs the serial plan (checker, faults, tracing, hardening), else
+ * the explicit RunOptions::simPartitions, else 1. Campaign point keys
+ * hash this value, so the default plan and an explicit
+ * `--sim-partitions 1` share results and no other plan ever does.
+ */
+unsigned resolvedSimPartitions(const RunOptions& options);
+
 ExperimentResult runExperiment(const SystemConfig& sys,
                                const workloads::AppProfile& app,
                                ConfigKind kind,

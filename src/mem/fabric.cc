@@ -41,13 +41,17 @@ Fabric::toDirectory(NodeId from, Msg msg)
     if (auto* ob = observer())
         ob->onMessageSent(from, dst, msg, true);
     const unsigned bytes = msg.bytes();
-    // Everything above the fabric must come through these wrappers.
-    // tblint-allow(TBL024): the fabric IS the sanctioned send wrapper
-    net.send(from, dst, bytes, [this, dst, sink, m = std::move(msg)]() {
+    auto deliver = [this, dst, sink, m = std::move(msg)]() {
         if (auto* ob = observer())
             ob->onMessageDelivered(dst, m, true);
         sink->receive(m);
-    });
+    };
+    static_assert(
+        noc::Network::Deliver::fitsInline<decltype(deliver)>(),
+        "a coherence delivery must fit the flight's payload slot");
+    // Everything above the fabric must come through these wrappers.
+    // tblint-allow(TBL024): the fabric IS the sanctioned send wrapper
+    net.send(from, dst, bytes, std::move(deliver));
 }
 
 void
@@ -73,12 +77,16 @@ Fabric::toController(NodeId from, NodeId dst, Msg msg)
     if (auto* ob = observer())
         ob->onMessageSent(from, dst, msg, false);
     const unsigned bytes = msg.bytes();
-    // tblint-allow(TBL024): sanctioned wrapper (see toDirectory).
-    net.send(from, dst, bytes, [this, dst, sink, m = std::move(msg)]() {
+    auto deliver = [this, dst, sink, m = std::move(msg)]() {
         if (auto* ob = observer())
             ob->onMessageDelivered(dst, m, false);
         sink->receive(m);
-    });
+    };
+    static_assert(
+        noc::Network::Deliver::fitsInline<decltype(deliver)>(),
+        "a coherence delivery must fit the flight's payload slot");
+    // tblint-allow(TBL024): sanctioned wrapper (see toDirectory).
+    net.send(from, dst, bytes, std::move(deliver));
 }
 
 } // namespace mem

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 
 #include "obs/trace.hh"
@@ -27,7 +28,8 @@ Network::Network(EventQueue& queue, const NetworkConfig& config,
     nextPairSeq.assign(pairs, 0);
     expectedSeq.assign(pairs, 0);
     pairLastDelivery.assign(pairs, 0);
-    oooStash.resize(pairs);
+    pools.resize(1);
+    oooStash.resize(1);
     shards.resize(1);
 }
 
@@ -44,9 +46,61 @@ Network::bindPartitions(const PartitionBinding* binding)
             if (c >= binding->clusters)
                 fatal("node mapped to nonexistent cluster ", c);
     }
+    if (liveFlights() != 0)
+        panic("partition binding changed with messages in flight");
     foldStats(); // keep anything already recorded before resharding
     parts = binding;
-    shards.assign(parts ? parts->clusters : 1, Shard{});
+    const unsigned clusters = parts ? parts->clusters : 1;
+    shards.assign(clusters, Shard{});
+    pools.clear();
+    pools.resize(clusters);
+    oooStash.assign(clusters, {});
+}
+
+std::uint32_t
+Network::FlightPool::acquire()
+{
+    if (freeList.empty()) {
+        slots.emplace_back();
+        return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+    const std::uint32_t idx = freeList.back();
+    freeList.pop_back();
+    return idx;
+}
+
+Network::Flight
+Network::FlightPool::take(std::uint32_t idx)
+{
+    Flight f = std::move(slots[idx]);
+    release(idx);
+    return f;
+}
+
+std::uint32_t
+Network::FlightPool::adopt(Flight&& f)
+{
+    const std::uint32_t idx = acquire();
+    slots[idx] = std::move(f);
+    return idx;
+}
+
+std::size_t
+Network::liveFlights() const
+{
+    std::size_t n = 0;
+    for (const FlightPool& p : pools)
+        n += p.live();
+    return n;
+}
+
+std::size_t
+Network::flightPoolSize() const
+{
+    std::size_t n = 0;
+    for (const FlightPool& p : pools)
+        n += p.size();
+    return n;
 }
 
 EventQueue&
@@ -94,45 +148,49 @@ Network::zeroLoadLatency(unsigned n_hops, unsigned bytes) const
            static_cast<Tick>(n_hops) * cfg.pinToPin + body;
 }
 
-void
-Network::inject(NodeId src, NodeId dst, unsigned bytes, Deliver fn)
+std::uint32_t
+Network::openFlight(NodeId src, NodeId dst, unsigned bytes)
 {
     const unsigned n = cfg.nodes();
     if (src >= n || dst >= n)
         panic("network send outside topology: src=", src, " dst=", dst);
-    if (!fn)
-        panic("network send without delivery callback");
 
-    EventQueue& q = queueOf(src);
-    const Tick t0 = q.now();
-    auto f = std::make_shared<Flight>(
-        Flight{src, dst, bytes, nextPairSeq[pairIndex(src, dst)]++, t0,
-               std::move(fn)});
+    const std::uint32_t idx = poolOf(src).acquire();
+    Flight& f = poolOf(src).at(idx);
+    f.src = src;
+    f.dst = dst;
+    f.bytes = bytes;
+    f.seq = nextPairSeq[pairIndex(src, dst)]++;
+    f.t0 = queueOf(src).now();
     Shard& sh = shardOf(src);
     sh.messages += 1.0;
     sh.bytes += static_cast<double>(bytes);
-
-    // Marshaling happens at the source endpoint; the message reaches
-    // its first router (src's own, hence a local event) afterwards. A
-    // loopback message never enters a router at all.
-    const Tick entry = t0 + cfg.marshal;
-    if (src == dst) {
-        q.schedule(entry, [this, f]() {
-            arrivalEvent(f, queueOf(f->dst).now());
-        });
-        return;
-    }
-    q.schedule(entry, [this, f]() { hopEvent(f->src, f); });
+    return idx;
 }
 
 void
-Network::hopEvent(NodeId at, const std::shared_ptr<Flight>& f)
+Network::launch(NodeId src, std::uint32_t idx)
 {
+    // Marshaling happens at the source endpoint; the message reaches
+    // its first router (src's own, hence a local event) afterwards. A
+    // loopback message never enters a router at all.
+    EventQueue& q = queueOf(src);
+    const Tick entry = q.now() + cfg.marshal;
+    if (poolOf(src).at(idx).dst == src)
+        q.schedule(entry, Step<&Network::arrivalEvent>{this, idx, src});
+    else
+        q.schedule(entry, Step<&Network::hopEvent>{this, idx, src});
+}
+
+void
+Network::hopEvent(NodeId at, std::uint32_t idx)
+{
+    const Flight& f = poolOf(at).at(idx);
     Tick t = queueOf(at).now();
     // Dimension-order routing: correct the lowest differing address
     // bit; the hop leaves through this router's link along that dim.
     const unsigned dim =
-        static_cast<unsigned>(std::countr_zero(at ^ f->dst));
+        static_cast<unsigned>(std::countr_zero(at ^ f.dst));
     FaultHooks* faults = hooks ? hooks->faults : nullptr;
     if (faults) {
         // An injected stall occupies the head of the worm on this
@@ -147,7 +205,7 @@ Network::hopEvent(NodeId at, const std::shared_ptr<Flight>& f)
     }
     if (cfg.modelContention) {
         const Tick ser_time =
-            static_cast<Tick>(flits(f->bytes)) * cfg.routerPeriod;
+            static_cast<Tick>(flits(f.bytes)) * cfg.routerPeriod;
         Tick& free_at = linkFreeAt[linkIndex(at, dim)];
         if (free_at > t) {
             shardOf(at).linkStallTicks +=
@@ -157,40 +215,50 @@ Network::hopEvent(NodeId at, const std::shared_ptr<Flight>& f)
         free_at = t + ser_time;
     }
     const NodeId next = at ^ (NodeId{1} << dim);
-    const Tick when = t + cfg.pinToPin;
-    if (next == f->dst) {
-        forward(at, next, when,
-                [this, f, when]() { arrivalEvent(f, when); });
-    } else {
-        forward(at, next, when,
-                [this, f, next]() { hopEvent(next, f); });
-    }
+    forward(at, next, t + cfg.pinToPin, idx, next == f.dst);
 }
 
 void
-Network::forward(NodeId from, NodeId to, Tick when,
-                 EventQueue::Callback fn)
+Network::forward(NodeId from, NodeId to, Tick when, std::uint32_t idx,
+                 bool last)
 {
     const unsigned cfrom = clusterOf(from);
     const unsigned cto = clusterOf(to);
     if (cfrom == cto) {
-        queueOf(to).schedule(when, std::move(fn));
+        if (last)
+            queueOf(to).schedule(
+                when, Step<&Network::arrivalEvent>{this, idx, to});
+        else
+            queueOf(to).schedule(when,
+                                 Step<&Network::hopEvent>{this, idx, to});
         return;
     }
     if (!parts || !parts->crossSchedule)
         panic("cross-cluster hop without an engine channel (cluster ",
               cfrom, " -> ", cto,
               "); partitioned machines must run under runMachinePdes");
-    parts->crossSchedule(cfrom, cto, when, std::move(fn));
+    // The flight leaves this cluster's pool now and joins the
+    // destination cluster's pool when the hop runs on its worker. The
+    // engine channel carries copyable std::function closures, hence
+    // the shared box.
+    auto moved = std::make_shared<Flight>(pools[cfrom].take(idx));
+    parts->crossSchedule(cfrom, cto, when, [this, moved, to, last]() {
+        const std::uint32_t j = poolOf(to).adopt(std::move(*moved));
+        if (last)
+            arrivalEvent(to, j);
+        else
+            hopEvent(to, j);
+    });
 }
 
 void
-Network::arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr)
+Network::arrivalEvent(NodeId at, std::uint32_t idx)
 {
+    const Flight& f = poolOf(at).at(idx);
     // Body flits pipeline behind the header on the final link, then
     // the destination unmarshals.
-    Tick tail = t_arr +
-                static_cast<Tick>(flits(f->bytes) - 1) *
+    Tick tail = queueOf(at).now() +
+                static_cast<Tick>(flits(f.bytes) - 1) *
                     cfg.routerPeriod +
                 cfg.marshal;
     FaultHooks* faults = hooks ? hooks->faults : nullptr;
@@ -199,36 +267,42 @@ Network::arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr)
         // a delayed message still cannot overtake an earlier one on
         // the same (src, dst) pair — the protocol's point-to-point
         // ordering assumption survives the fault.
-        Tick delay = faults->messageDelay(f->src, f->dst);
+        Tick delay = faults->messageDelay(f.src, f.dst);
         if (delay > 0) {
-            shardOf(f->dst).faultDelayTicks +=
-                static_cast<double>(delay);
+            shardOf(at).faultDelayTicks += static_cast<double>(delay);
             tail += delay;
         }
     }
-    const std::size_t pair = pairIndex(f->src, f->dst);
-    if (f->seq != expectedSeq[pair]) {
+    const std::size_t pair = pairIndex(f.src, f.dst);
+    std::vector<Stash>& stash = oooStash[clusterOf(at)];
+    if (f.seq != expectedSeq[pair]) {
         // Arrived before a predecessor (a short message drains its
         // tail faster than a long one): hold it until the pair's
         // in-order point catches up.
-        oooStash[pair].emplace(f->seq, Stash{tail, f});
+        stash.push_back(Stash{f.seq, tail,
+                              static_cast<std::uint32_t>(pair), idx});
         return;
     }
-    deliverInOrder(f, tail);
-    auto& stash = oooStash[pair];
-    for (auto it = stash.find(expectedSeq[pair]); it != stash.end();
-         it = stash.find(expectedSeq[pair])) {
-        auto held = std::move(it->second);
-        stash.erase(it);
-        deliverInOrder(held.flight, held.tail);
+    deliverInOrder(at, idx, tail);
+    for (std::size_t i = 0; i < stash.size();) {
+        const Stash held = stash[i];
+        if (held.pair != pair || held.seq != expectedSeq[pair]) {
+            ++i;
+            continue;
+        }
+        stash[i] = stash.back();
+        stash.pop_back();
+        deliverInOrder(at, held.idx, held.tail);
+        i = 0; // the next successor may sit anywhere in the list
     }
 }
 
 void
-Network::deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail)
+Network::deliverInOrder(NodeId at, std::uint32_t idx, Tick tail)
 {
-    const std::size_t pair = pairIndex(f->src, f->dst);
-    Shard& sh = shardOf(f->dst);
+    const Flight& f = poolOf(at).at(idx);
+    const std::size_t pair = pairIndex(f.src, f.dst);
+    Shard& sh = shardOf(at);
     // Preserve point-to-point ordering: never deliver before an
     // earlier message between the same endpoints. Also lifts a stashed
     // message's tail to at least the current tick, since its
@@ -239,23 +313,35 @@ Network::deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail)
         tail = pair_last;
     }
     pair_last = tail;
-    expectedSeq[pair] = f->seq + 1;
+    expectedSeq[pair] = f.seq + 1;
 
-    sh.latency.sample(static_cast<double>(tail - f->t0));
-    sh.hops.sample(static_cast<double>(hops(f->src, f->dst)));
+    sh.latency.sample(static_cast<double>(tail - f.t0));
+    sh.hops.sample(static_cast<double>(hops(f.src, f.dst)));
     obs::TraceSink* trace = hooks ? hooks->trace : nullptr;
     if (TB_TRACED(trace, obs::TraceCategory::Noc)) {
-        trace->complete(obs::TraceCategory::Noc, "msg", f->t0,
-                        tail - f->t0, f->src,
-                        {{"dst", f->dst}, {"bytes", f->bytes},
-                         {"hops", hops(f->src, f->dst)}});
+        trace->complete(obs::TraceCategory::Noc, "msg", f.t0,
+                        tail - f.t0, f.src,
+                        {{"dst", f.dst}, {"bytes", f.bytes},
+                         {"hops", hops(f.src, f.dst)}});
     }
     if (hooks && hooks->nocAudit) {
         hooks->nocAudit->onNocDelivered(
-            f->src, f->dst, f->bytes, f->t0, tail,
-            zeroLoadLatency(hops(f->src, f->dst), f->bytes));
+            f.src, f.dst, f.bytes, f.t0, tail,
+            zeroLoadLatency(hops(f.src, f.dst), f.bytes));
     }
-    queueOf(f->dst).schedule(tail, std::move(f->fn));
+    queueOf(at).schedule(tail,
+                         Step<&Network::deliverEvent>{this, idx, at});
+}
+
+void
+Network::deliverEvent(NodeId at, std::uint32_t idx)
+{
+    // Recycle the slot before the payload runs: the payload may send
+    // (and so grow the pool, moving every slot).
+    FlightPool& pool = poolOf(at);
+    Deliver fn = std::move(pool.at(idx).fn);
+    pool.release(idx);
+    fn();
 }
 
 void

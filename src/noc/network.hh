@@ -34,6 +34,8 @@
  *   nextPairSeq[src*n+dst]  — src's cluster (stamped at injection)
  *   expectedSeq / pairLast /
  *   out-of-order stash      — dst's cluster (checked at arrival)
+ *   flight pools            — one per cluster; a flight moves to the
+ *                             next cluster's pool when it crosses
  *   stat shards             — one per cluster, folded on demand
  *
  * so a partitioned machine (harness/machine.hh) can run node clusters
@@ -47,12 +49,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sim/hooks.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -127,8 +131,16 @@ struct PartitionBinding
 class Network : public SimObject
 {
   public:
+    /**
+     * Widest payload closure stored inline in a flight's pool slot.
+     * Sized for mem::Fabric's coherence delivery, which carries a
+     * whole mem::Msg; wider closures fall back to one heap
+     * allocation per message.
+     */
+    static constexpr std::size_t kPayloadBytes = 128;
+
     /** Callback invoked at the destination when a message arrives. */
-    using Deliver = std::function<void()>;
+    using Deliver = detail::InlineClosure<kPayloadBytes>;
 
     /**
      * @param hooks machine-wide instrumentation seams (fault
@@ -143,24 +155,29 @@ class Network : public SimObject
     const NetworkConfig& config() const { return cfg; }
 
     /**
-     * Inject a message of @p bytes from @p src to @p dst; @p fn runs
-     * on @p dst's queue when the last flit arrives. src == dst is
-     * allowed (local loopback, charged marshal + unmarshal only).
-     * Must be called from an event running on @p src's queue.
-     */
-    void inject(NodeId src, NodeId dst, unsigned bytes, Deliver fn);
-
-    /**
-     * Legacy entry point, kept as a thin shim over inject(). Protocol
-     * and runtime code must go through mem::Fabric (tools/tblint rule
-     * TBL024) so every coherence message gets observer/audit coverage;
-     * direct send() is for the network's own tests and benchmarks.
+     * Inject a message of @p bytes from @p src to @p dst;
+     * @p on_deliver runs on @p dst's queue when the last flit arrives.
+     * src == dst is allowed (local loopback, charged marshal +
+     * unmarshal only). Must be called from an event running on
+     * @p src's queue. The payload is built straight into the flight's
+     * pool slot. Protocol and runtime code must go through mem::Fabric
+     * (tools/tblint rule TBL024) so every coherence message gets
+     * observer/audit coverage; direct send() is for the network's own
+     * tests and benchmarks.
      */
     template <typename F>
     void
     send(NodeId src, NodeId dst, unsigned bytes, F&& on_deliver)
     {
-        inject(src, dst, bytes, Deliver(std::forward<F>(on_deliver)));
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, Deliver> ||
+                      std::is_same_v<Fn, std::function<void()>>) {
+            if (!on_deliver)
+                panic("network send without delivery callback");
+        }
+        const std::uint32_t idx = openFlight(src, dst, bytes);
+        poolOf(src).at(idx).fn.emplace(std::forward<F>(on_deliver));
+        launch(src, idx);
     }
 
     /**
@@ -188,29 +205,90 @@ class Network : public SimObject
      */
     const stats::StatGroup& statistics() const;
 
+    /** Messages injected but not yet delivered (all clusters). */
+    std::size_t liveFlights() const;
+
+    /**
+     * Flight slots ever created (all clusters). Slots are recycled
+     * LIFO and a new one is made only when every existing slot is in
+     * flight, so this is the peak number of messages in flight.
+     */
+    std::size_t flightPoolSize() const;
+
   private:
     /**
-     * One message in flight. Held by whichever hop event currently
-     * carries it; shared_ptr because cross-cluster forwarding rides
-     * std::function channels, which need copyable closures.
+     * One message in flight. It lives in the flight pool of the
+     * cluster whose queue runs its current hop and is addressed by
+     * slot index, so hop and arrival events are 16-byte closures that
+     * the event queue stores inline. The pool owns the payload until
+     * delivery, when the payload is moved out and the slot recycled
+     * before it runs; destroying the network destroys the payload of
+     * every undelivered flight exactly once. A hop that crosses to
+     * another cluster moves the flight out of its pool and into the
+     * destination cluster's pool when the hop event runs there, so no
+     * pool is ever touched by two host threads.
      */
     struct Flight
     {
-        NodeId src;
-        NodeId dst;
-        unsigned bytes;
+        NodeId src = 0;
+        NodeId dst = 0;
+        unsigned bytes = 0;
         /** Send-order stamp within the (src, dst) pair. */
-        std::uint64_t seq;
+        std::uint64_t seq = 0;
         /** Injection tick (for latency stats and the audit). */
-        Tick t0;
+        Tick t0 = 0;
         Deliver fn;
     };
 
-    /** A message that arrived before its (src, dst) predecessors. */
+    /** One cluster's flights, recycled through a LIFO free list. */
+    class FlightPool
+    {
+      public:
+        Flight& at(std::uint32_t idx) { return slots[idx]; }
+
+        /** A free slot (its payload is empty). */
+        std::uint32_t acquire();
+
+        /** Return @p idx, whose payload must already be empty. */
+        void release(std::uint32_t idx) { freeList.push_back(idx); }
+
+        /** Move flight @p idx out and free its slot. */
+        Flight take(std::uint32_t idx);
+
+        /** Store @p f in a free slot; returns the slot. */
+        std::uint32_t adopt(Flight&& f);
+
+        std::size_t live() const { return slots.size() - freeList.size(); }
+        std::size_t size() const { return slots.size(); }
+
+      private:
+        std::vector<Flight> slots;
+        std::vector<std::uint32_t> freeList;
+    };
+
+    /**
+     * A message that arrived before its (src, dst) predecessors. The
+     * flight stays in the destination cluster's pool at @p idx.
+     */
     struct Stash
     {
+        std::uint64_t seq;
         Tick tail;
-        std::shared_ptr<Flight> flight;
+        std::uint32_t pair;
+        std::uint32_t idx;
+    };
+
+    /**
+     * Event closure running @p Event(at, idx): 16 bytes, so the event
+     * queue stores it inline.
+     */
+    template <void (Network::*Event)(NodeId, std::uint32_t)>
+    struct Step
+    {
+        Network* net;
+        std::uint32_t idx;
+        NodeId at;
+        void operator()() const { (net->*Event)(at, idx); }
     };
 
     /**
@@ -231,21 +309,32 @@ class Network : public SimObject
         stats::Distribution hops;
     };
 
-    /** One hop: charge the outgoing link at @p at, forward. */
-    void hopEvent(NodeId at, const std::shared_ptr<Flight>& f);
+    /** Validate, stamp and count a new flight in @p src's pool; the
+     *  caller fills in the payload. Returns its slot. */
+    std::uint32_t openFlight(NodeId src, NodeId dst, unsigned bytes);
 
-    /** Last flit reached @p f->dst at @p t_arr: finish delivery. */
-    void arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr);
+    /** Schedule flight @p idx's first event (marshaling done). */
+    void launch(NodeId src, std::uint32_t idx);
+
+    /** One hop: charge the outgoing link at @p at, forward. */
+    void hopEvent(NodeId at, std::uint32_t idx);
+
+    /** Last flit of flight @p idx reached its destination @p at. */
+    void arrivalEvent(NodeId at, std::uint32_t idx);
 
     /** In-order delivery: clamp against the pair's last delivery,
-     *  record stats, run the payload, then flush stashed successors. */
-    void deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail);
+     *  record stats, then schedule the payload at the tail. */
+    void deliverInOrder(NodeId at, std::uint32_t idx, Tick tail);
 
-    /** Schedule @p fn at @p when on @p to's queue (cross-cluster hops
-     *  go through the engine channel). @p from is the node whose queue
-     *  the caller is running on. */
-    void forward(NodeId from, NodeId to, Tick when,
-                 EventQueue::Callback fn);
+    /** Run flight @p idx's payload and recycle its slot. */
+    void deliverEvent(NodeId at, std::uint32_t idx);
+
+    /** Schedule flight @p idx's next hop (or, if @p last, its
+     *  arrival) at @p when on @p to's queue. @p from is the node whose
+     *  queue the caller is running on; a cross-cluster hop goes
+     *  through the engine channel. */
+    void forward(NodeId from, NodeId to, Tick when, std::uint32_t idx,
+                 bool last);
 
     /** Drain all per-cluster shards into statsGroup. */
     void foldStats() const;
@@ -253,6 +342,7 @@ class Network : public SimObject
     EventQueue& queueOf(NodeId n) const;
     unsigned clusterOf(NodeId n) const;
     Shard& shardOf(NodeId n) const;
+    FlightPool& poolOf(NodeId n) { return pools[clusterOf(n)]; }
 
     /** Number of router cycles needed to serialize @p bytes. */
     unsigned flits(unsigned bytes) const;
@@ -287,15 +377,19 @@ class Network : public SimObject
      * cluster.
      */
     std::vector<Tick> pairLastDelivery;
+    /** Flight pools, one per cluster. */
+    std::vector<FlightPool> pools;
     /**
-     * Early arrivals waiting for their (src, dst) predecessors, keyed
-     * by seq. Per pair so each entry is owned by dst's cluster. A
-     * small message can physically catch up with a large predecessor
-     * on the shared tail (its last-hop body drains faster), so the
-     * clamp alone is not enough — delivery order must be restored
-     * explicitly.
+     * Early arrivals waiting for their (src, dst) predecessors, one
+     * flat list per destination cluster (so each entry is owned by
+     * dst's cluster). A small message can physically catch up with a
+     * large predecessor on the shared tail (its last-hop body drains
+     * faster), so the clamp alone is not enough — delivery order must
+     * be restored explicitly. Entries are few and short-lived; they
+     * are looked up by (pair, seq), so their order in the list never
+     * matters.
      */
-    std::vector<std::map<std::uint64_t, Stash>> oooStash;
+    std::vector<std::vector<Stash>> oooStash;
     mutable std::vector<Shard> shards;
     mutable stats::StatGroup statsGroup;
 };

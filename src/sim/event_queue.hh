@@ -88,20 +88,23 @@ namespace detail {
 /**
  * Type-erased move-only callback with inline small-closure storage.
  * Callables up to kInlineBytes (and max_align_t alignment) live inside
- * the object; larger ones fall back to a single heap allocation.
+ * the object; larger ones fall back to a single heap allocation. The
+ * event queue stores EventClosure; the NoC keeps a wider instance in
+ * its flight pool so a whole coherence message fits inline.
  */
-class EventClosure
+template <std::size_t InlineBytes>
+class InlineClosure
 {
   public:
-    static constexpr std::size_t kInlineBytes = 48;
+    static constexpr std::size_t kInlineBytes = InlineBytes;
 
-    EventClosure() = default;
+    InlineClosure() = default;
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventClosure> &&
+                  !std::is_same_v<std::decay_t<F>, InlineClosure> &&
                   std::is_invocable_v<std::decay_t<F>&>>>
-    EventClosure(F&& f) // NOLINT: implicit by design
+    InlineClosure(F&& f) // NOLINT: implicit by design
     {
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>()) {
@@ -114,10 +117,10 @@ class EventClosure
         }
     }
 
-    EventClosure(EventClosure&& other) noexcept { moveFrom(other); }
+    InlineClosure(InlineClosure&& other) noexcept { moveFrom(other); }
 
-    EventClosure&
-    operator=(EventClosure&& other) noexcept
+    InlineClosure&
+    operator=(InlineClosure&& other) noexcept
     {
         if (this != &other) {
             reset();
@@ -126,10 +129,10 @@ class EventClosure
         return *this;
     }
 
-    EventClosure(const EventClosure&) = delete;
-    EventClosure& operator=(const EventClosure&) = delete;
+    InlineClosure(const InlineClosure&) = delete;
+    InlineClosure& operator=(const InlineClosure&) = delete;
 
-    ~EventClosure() { reset(); }
+    ~InlineClosure() { reset(); }
 
     /** True if a callable is held. */
     explicit operator bool() const { return ops != nullptr; }
@@ -140,14 +143,17 @@ class EventClosure
     /**
      * Construct @p f in place. The closure must be empty — this is the
      * schedule hot path writing straight into a recycled pool slot, so
-     * no destroy-and-relocate round trip happens.
+     * no destroy-and-relocate round trip happens. An InlineClosure of
+     * the same width is taken over rather than wrapped.
      */
     template <typename F>
     void
     emplace(F&& f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
+        if constexpr (std::is_same_v<Fn, InlineClosure>) {
+            moveFrom(f);
+        } else if constexpr (fitsInline<Fn>()) {
             ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
             ops = &kInlineOps<Fn>;
         } else {
@@ -236,7 +242,7 @@ class EventClosure
     };
 
     void
-    moveFrom(EventClosure& other)
+    moveFrom(InlineClosure& other)
     {
         if (other.ops) {
             other.ops->relocate(buf, other.buf);
@@ -248,6 +254,9 @@ class EventClosure
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
     const Ops* ops = nullptr;
 };
+
+/** The event queue's per-slot closure. */
+using EventClosure = InlineClosure<48>;
 
 } // namespace detail
 

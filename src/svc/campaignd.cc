@@ -267,10 +267,12 @@ CampaignService::closeConnection(Connection* conn, LeaseLoss loss,
     if (hadLeases) {
         ++stats_.disconnects;
         failLeases(conn, loss, detail);
-    } else if (!conn->closing) {
+    } else if (!conn->closing && !queue_->allResolved()) {
         // A connection that dies without leases and without a
         // Goodbye is still a worker failure worth ledgering (e.g.
-        // killed between leases), just not a lease loss.
+        // killed between leases), just not a lease loss. Once every
+        // point is resolved (run() lingering), workers leave on Done
+        // and a dropped socket is no failure.
         ledger_.add(conn->workerId, conn->label(),
                     leaseLossName(loss), -1, detail);
     }
@@ -337,6 +339,12 @@ CampaignService::onHello(Connection* conn, const Frame& f)
         send(conn, FrameType::Reject, p);
         conn->closing = true;
         closeConnection(conn, LeaseLoss::ProtocolError, msg);
+        return;
+    }
+    if (queue_->allResolved()) {
+        // Late arrival while run() lingers: nothing left to lease.
+        send(conn, FrameType::Done, "");
+        conn->closing = true;
         return;
     }
     conn->helloed = true;
@@ -698,8 +706,22 @@ CampaignService::run(std::size_t count)
     if (listenFd_ < 0)
         fatal("campaign service: ", err);
 
-    while (!queue_->allResolved() &&
-           !harness::CampaignSupervisor::interruptRequested()) {
+    // Once every point is resolved, broadcast Done and linger for
+    // kLingerMs: a worker launched with the fleet but connecting after
+    // the others finished the work is told Done and exits cleanly,
+    // instead of failing its connect once the listener is gone.
+    bool doneSent = false;
+    std::uint64_t lingerEndMs = 0;
+    while (!harness::CampaignSupervisor::interruptRequested()) {
+        if (queue_->allResolved()) {
+            if (!doneSent) {
+                broadcastDone();
+                doneSent = true;
+                lingerEndMs = nowMs() + kLingerMs;
+            }
+            if (nowMs() >= lingerEndMs)
+                break;
+        }
         std::vector<struct pollfd> pfds;
         pfds.push_back({listenFd_, POLLIN, 0});
         std::vector<Connection*> polled;
@@ -717,6 +739,10 @@ CampaignService::run(std::size_t count)
         if (next != std::numeric_limits<std::uint64_t>::max())
             waitMs = std::min(
                 waitMs, next > now ? next - now : std::uint64_t(1));
+        if (doneSent)
+            waitMs = std::min(waitMs, lingerEndMs > now
+                                          ? lingerEndMs - now
+                                          : std::uint64_t(1));
         waitMs = std::max<std::uint64_t>(
             std::min<std::uint64_t>(waitMs, 1000), 10);
         // pollMany reports EINTR as a timeout, so a signal (SIGINT,
@@ -746,7 +772,14 @@ CampaignService::run(std::size_t count)
             conns_.end());
     }
 
-    broadcastDone();
+    if (!doneSent)
+        broadcastDone();
+    // Close the listener now, not in the destructor: a worker whose
+    // connect landed in an unserviced backlog would otherwise block
+    // waiting for a HelloAck that never comes.
+    ::close(listenFd_);
+    listenFd_ = -1;
+    cleanupAddress(opts_.listen);
     if (journal_)
         journal_->flush();
     if (cache_) {

@@ -58,6 +58,13 @@ namespace svc {
 /** Missed heartbeat intervals after which a worker is declared dead. */
 constexpr unsigned kHeartbeatMisses = 3;
 
+/**
+ * How long run() keeps answering after every point is resolved. It
+ * exceeds the worker's 100 ms connect-retry step, so a worker whose
+ * first connect raced the daemon's startup still hears Done.
+ */
+constexpr std::uint64_t kLingerMs = 250;
+
 /** Knobs of one daemon instance. */
 struct ServiceOptions
 {
@@ -136,9 +143,10 @@ class CampaignService
 
     /**
      * Serve all @p count points until each is Done or Failed (or
-     * SIGINT). Never throws for worker failures — they are ledgered
-     * and retried. Throws FatalError only when the listen address is
-     * unusable.
+     * SIGINT), then linger briefly answering late Hellos with Done,
+     * then close and unlink the listener. Never
+     * throws for worker failures — they are ledgered and retried.
+     * Throws FatalError only when the listen address is unusable.
      */
     harness::SupervisorReport run(std::size_t count);
 

@@ -30,6 +30,11 @@ defaultWorkerName()
     return std::to_string(::getpid()) + "@" + host;
 }
 
+/** Deadline for the daemon's reply to Hello: a daemon that accepted
+ *  the connection but never answers fails the handshake instead of
+ *  blocking the worker forever. */
+constexpr int kHelloReplyMs = 5000;
+
 /** Whether errno @p e means "the daemon is simply gone". */
 bool
 peerGone(int e)
@@ -108,6 +113,14 @@ CampaignWorker::handshake(std::uint64_t waitMs, std::string* err)
         return peerGone(errno) ? 0 : -1;
     }
 
+    const int ready = harness::pollOne(fd_, POLLIN, kHelloReplyMs);
+    if (ready <= 0) {
+        *err = ready == 0 ? "no reply to hello within " +
+                                std::to_string(kHelloReplyMs) + " ms"
+                          : "hello: poll: " + errnoMessage(errno);
+        dropConnection();
+        return 0;
+    }
     Frame f;
     const int rc = recvFrame(fd_, &f, err);
     if (rc <= 0) {
@@ -115,6 +128,11 @@ CampaignWorker::handshake(std::uint64_t waitMs, std::string* err)
             *err = "daemon closed the connection during handshake";
         dropConnection();
         return lostFrame(rc) ? 0 : -1;
+    }
+    if (f.type == FrameType::Done) {
+        // The daemon already marked this connection closing.
+        dropConnection();
+        return 2;
     }
     if (f.type == FrameType::Reject) {
         PayloadReader r(f.payload);
@@ -180,6 +198,8 @@ CampaignWorker::reconnect(std::string* err)
         waited += delay;
         std::string hsErr;
         const int h = handshake(0, &hsErr);
+        if (h == 2)
+            return 0; // resolved while we were away: campaign over
         if (h > 0) {
             ++stats_.reconnects;
             warn("campaign worker ", opts_.name, ": reconnected to ",
@@ -272,8 +292,11 @@ CampaignWorker::run(
 {
     harness::ignoreSigpipe();
     transport_.configure(opts_.netFaults, opts_.name);
-    if (handshake(opts_.connectWaitMs, err) <= 0)
+    const int h = handshake(opts_.connectWaitMs, err);
+    if (h <= 0)
         return false;
+    if (h == 2)
+        return true; // nothing left to do: not a worker failure
 
     for (;;) {
         if (fd_ < 0) {

@@ -116,8 +116,9 @@ class CampaignWorker
         std::string payload;
     };
 
-    /** 1 = handshake complete, 0 = daemon unreachable (retryable),
-     *  -1 = protocol-fatal (rejected / malformed ack). */
+    /** 1 = handshake complete, 2 = the campaign is already resolved
+     *  (the daemon answered Done), 0 = daemon unreachable or silent
+     *  (retryable), -1 = protocol-fatal (rejected / malformed ack). */
     int handshake(std::uint64_t waitMs, std::string* err);
     /** 1 = reconnected, 0 = budget exhausted, -1 = fatal. */
     int reconnect(std::string* err);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -166,6 +167,105 @@ TEST(Distributed, WorkersCompleteCampaignIdenticallyToSerial)
             << "results must be what a serial run produces";
     EXPECT_EQ(service.stats().resultsAccepted, kCount);
     EXPECT_TRUE(service.ledger().empty());
+}
+
+/** Milliseconds on the host's steady clock since @p t0. */
+long long
+elapsedMs(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * Regression: run() used to leave its listener open until the
+ * destructor, so a worker connecting after the campaign resolved sat
+ * unaccepted in the backlog, blocked forever on its HelloAck. Now the
+ * listener is closed and unlinked when run() returns, and the late
+ * worker fails its connect within its connect budget.
+ */
+TEST(Distributed, WorkerConnectingAfterCampaignEndsFailsInBoundedTime)
+{
+    const std::size_t kCount = 3;
+    const std::string addr = socketAddr("late");
+    ServiceOptions so;
+    so.listen = addr;
+    so.campaign = "dist-test";
+
+    CampaignService service(so);
+    service.setKeys(testKeys(kCount));
+    harness::SupervisorReport report;
+    std::thread daemon([&]() { report = service.run(kCount); });
+    {
+        CampaignWorker w(workerOpts(addr, kCount, "first"));
+        std::string err;
+        EXPECT_TRUE(w.run(artifactOf, &err)) << err;
+    }
+    daemon.join();
+    ASSERT_TRUE(report.ok());
+
+    WorkerOptions wo = workerOpts(addr, kCount, "late");
+    wo.connectWaitMs = 300;
+    CampaignWorker late(wo);
+    std::string err;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(late.run(artifactOf, &err));
+    EXPECT_LT(elapsedMs(t0), 3000);
+    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(err.find("no reply to hello"), std::string::npos)
+        << "the connect itself must fail: " << err;
+    EXPECT_EQ(late.stats().leases, 0u);
+}
+
+/** A worker that connects while run() lingers is told Done and
+ *  returns success without leasing anything. */
+TEST(Distributed, WorkerConnectingDuringLingerIsToldDone)
+{
+    const std::size_t kCount = 3;
+    const std::string addr = socketAddr("linger");
+    ServiceOptions so;
+    so.listen = addr;
+    so.campaign = "dist-test";
+
+    CampaignService service(so);
+    service.setKeys(testKeys(kCount));
+    harness::SupervisorReport report;
+    std::thread daemon([&]() { report = service.run(kCount); });
+    {
+        CampaignWorker w(workerOpts(addr, kCount, "first"));
+        std::string err;
+        EXPECT_TRUE(w.run(artifactOf, &err)) << err;
+    }
+    // Every point is resolved; the daemon is lingering.
+    CampaignWorker late(workerOpts(addr, kCount, "late"));
+    std::string err;
+    EXPECT_TRUE(late.run(artifactOf, &err)) << err;
+    EXPECT_EQ(late.stats().leases, 0u);
+    daemon.join();
+    EXPECT_TRUE(report.ok());
+    EXPECT_TRUE(service.ledger().empty())
+        << "a late worker told Done is not a failure";
+}
+
+/** The handshake read has a deadline: a listener that accepts the
+ *  connection but never answers fails the worker, not hangs it. */
+TEST(Distributed, HandshakeTimesOutOnSilentDaemon)
+{
+    const std::string addr = socketAddr("silent");
+    std::string err;
+    const int listener = svc::listenOn(addr, &err);
+    ASSERT_GE(listener, 0) << err;
+
+    WorkerOptions wo = workerOpts(addr, 2, "patient");
+    wo.connectWaitMs = 0;
+    CampaignWorker w(wo);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(w.run(artifactOf, &err));
+    EXPECT_LT(elapsedMs(t0), 10000);
+    EXPECT_NE(err.find("no reply to hello"), std::string::npos) << err;
+    ::close(listener);
+    svc::cleanupAddress(addr);
 }
 
 TEST(Distributed, DeadWorkerLeaseReassigned)

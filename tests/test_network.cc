@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -231,6 +234,151 @@ TEST(Network, P2pOrderSurvivesContentionAndFaultStalls)
         }
     }
     EXPECT_EQ(total, 400u); // nothing dropped, nothing duplicated
+}
+
+/**
+ * Stalls the first hop it sees and no other, so with link contention
+ * off a later message overtakes an earlier one on the same pair and
+ * has to wait in the out-of-order stash.
+ */
+struct FirstHopStall : FaultHooks
+{
+    bool fired = false;
+
+    Tick
+    linkStall(NodeId, unsigned) override
+    {
+        if (fired)
+            return 0;
+        fired = true;
+        return 3 * kMicrosecond;
+    }
+};
+
+TEST(NetworkFlightPool, StashBurstReturnsEveryFlight)
+{
+    EventQueue eq;
+    FirstHopStall faults;
+    Hooks hooks;
+    hooks.faults = &faults;
+    noc::NetworkConfig c = smallConfig(3);
+    c.modelContention = false;
+    noc::Network net(eq, c, "noc", &hooks);
+    std::vector<int> order;
+    net.send(0, 5, 1024, [&]() { order.push_back(1); });
+    net.send(0, 5, 8, [&]() { order.push_back(2); });
+    EXPECT_EQ(net.liveFlights(), 2u);
+    eq.run();
+
+    // The small message overtook the stalled large one, so it arrived
+    // first; send order held only because the stash kept it back, and
+    // its tail was then clamped to its predecessor's.
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_GT(net.statistics().scalarValue("orderingStallTicks"), 0.0);
+    EXPECT_EQ(net.liveFlights(), 0u);
+    EXPECT_EQ(net.flightPoolSize(), 2u);
+}
+
+TEST(NetworkFlightPool, NeverGrowsPastPeakInFlight)
+{
+    EventQueue eq;
+    noc::Network net(eq, smallConfig(4));
+    const unsigned n = net.config().nodes();
+    std::size_t sent = 0, delivered = 0, peak = 0;
+    const auto send = [&](NodeId src, NodeId dst, unsigned bytes) {
+        net.send(src, dst, bytes, [&]() { ++delivered; });
+        ++sent;
+        peak = std::max(peak, sent - delivered);
+    };
+    // Three bursts of n messages, each injected in one tick.
+    for (int round = 0; round < 3; ++round) {
+        eq.schedule(eq.now() + kMicrosecond, [&]() {
+            for (NodeId s = 0; s < n; ++s)
+                send(s, (s * 7 + 3) % n, 8 + 64 * (s % 3));
+        });
+        eq.run();
+        EXPECT_EQ(net.liveFlights(), 0u);
+    }
+    EXPECT_EQ(peak, n);
+    EXPECT_LE(net.flightPoolSize(), peak);
+
+    // A chain that sends its successor from the delivery payload
+    // reuses the slot the payload just left.
+    noc::Network chain(eq, smallConfig(4));
+    int hops = 0;
+    std::function<void()> relay = [&]() {
+        if (++hops < 50)
+            chain.send(hops % n, (hops * 5) % n, 72, relay);
+    };
+    chain.send(0, 1, 72, relay);
+    eq.run();
+    EXPECT_EQ(hops, 50);
+    EXPECT_EQ(chain.flightPoolSize(), 1u);
+}
+
+/** Counts destructions of the payload it was built for; a moved-from
+ *  copy gives up the count. */
+template <std::size_t Pad>
+struct CountedPayload
+{
+    int* destroyed;
+    bool owner = true;
+    std::array<char, Pad> pad{};
+
+    explicit CountedPayload(int* d) : destroyed(d) {}
+    CountedPayload(CountedPayload&& o) noexcept
+        : destroyed(o.destroyed), pad(o.pad)
+    {
+        o.owner = false;
+    }
+    CountedPayload(const CountedPayload&) = delete;
+    ~CountedPayload()
+    {
+        if (owner)
+            ++*destroyed;
+    }
+    void operator()() { ADD_FAILURE() << "payload must not run"; }
+};
+
+TEST(NetworkFlightPool, DestroyWithFlightsInFlightDestroysEachPayloadOnce)
+{
+    // Inline payloads and ones too wide for the slot (heap fallback),
+    // caught mid-hop, waiting in the stash and awaiting delivery.
+    static_assert(noc::Network::Deliver::fitsInline<CountedPayload<8>>());
+    static_assert(
+        !noc::Network::Deliver::fitsInline<CountedPayload<256>>());
+    std::vector<int> small(4, 0), big(4, 0);
+    {
+        EventQueue eq;
+        FirstHopStall faults;
+        Hooks hooks;
+        hooks.faults = &faults;
+        noc::NetworkConfig c = smallConfig(4);
+        c.modelContention = false;
+        {
+            noc::Network net(eq, c, "noc", &hooks);
+            using Small = CountedPayload<8>;
+            using Big = CountedPayload<256>;
+            net.send(0, 7, 1024, Small(&small[0])); // stalled 3 us
+            net.send(0, 7, 8, Small(&small[1]));    // overtakes: stash
+            net.send(1, 14, 8, Big(&big[0]));       // four hops: in transit
+            net.send(2, 13, 8, Big(&big[1]));
+            net.send(6, 9, 8, Small(&small[2]));
+            net.send(3, 0, 72, Small(&small[3]));   // delivery pending
+            net.send(5, 2, 72, Big(&big[2]));
+            net.send(8, 11, 72, Big(&big[3]));
+            // Every trip is still short of its delivery event: the
+            // earliest tail lands at 80 ns.
+            eq.run(70 * kNanosecond);
+            EXPECT_EQ(net.liveFlights(), 8u);
+            for (int d : small)
+                EXPECT_EQ(d, 0);
+        }
+        for (int d : small)
+            EXPECT_EQ(d, 1);
+        for (int d : big)
+            EXPECT_EQ(d, 1);
+    } // the queue dies holding only index closures
 }
 
 } // namespace

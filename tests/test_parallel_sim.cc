@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "check/protocol_checker.hh"
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
 #include "harness/parallel_sim.hh"
@@ -151,6 +152,42 @@ TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
     EXPECT_EQ(r.engine.partitions, 8u);
     EXPECT_EQ(r.modelLookahead, m.config().noc.pinToPin);
     EXPECT_GT(r.modelLookahead, Tick{0});
+}
+
+/**
+ * The default plan is serial at every node count, the 64-node paper
+ * machine included: the 8-cluster plan measured slower at every
+ * thread count there, so partitioning is opt-in. Explicit counts
+ * stand unless a serial-only feature (a TB_CHECK build arms the
+ * checker everywhere) forces one partition.
+ */
+TEST(ParallelSim, DefaultPlanIsSerialOnPaperMachine)
+{
+    const RunOptions defaults;
+    EXPECT_EQ(resolvedSimPartitions(defaults), 1u);
+    Machine m(SystemConfig::paperDefault(),
+              resolvedSimPartitions(defaults));
+    EXPECT_EQ(m.partitions(), 1u);
+
+    RunOptions eight;
+    eight.simPartitions = 8;
+    EXPECT_EQ(resolvedSimPartitions(eight),
+              check::checkedByDefault() ? 1u : 8u);
+    eight.check = true;
+    EXPECT_EQ(resolvedSimPartitions(eight), 1u);
+}
+
+TEST(ParallelSim, DefaultRunSerializesLikeExplicitSerialPlan)
+{
+    const SystemConfig sys = SystemConfig::paperDefault();
+    workloads::AppProfile app = workloads::appByName("Volrend");
+    app.iterations = 4;
+    RunOptions serial;
+    serial.simPartitions = 1;
+    EXPECT_EQ(
+        serializeResult(runExperiment(sys, app, ConfigKind::Thrifty)),
+        serializeResult(
+            runExperiment(sys, app, ConfigKind::Thrifty, serial)));
 }
 
 /**

@@ -66,8 +66,7 @@ usage(const char* argv0)
         "(power of two\n"
         "                     dividing the node count; selects the "
         "simulation plan;\n"
-        "                     default: nodes/8 for 16+ nodes, else "
-        "1)\n"
+        "                     default 1 = serial)\n"
         "  --faults SPEC      deterministic fault injection, e.g.\n"
         "                     seed=3,drop-wake=0.5,timer-drift=0.4 "
         "(see docs/ROBUSTNESS.md)\n"
