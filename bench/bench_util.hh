@@ -77,8 +77,8 @@ runAppConfigMatrix(const harness::SystemConfig& sys,
  * The (app x configuration) matrix as a supervised PointTask. The
  * closures reference @p sys, @p apps, @p opts and @p capture — all
  * must outlive the returned task. The config hash covers everything
- * that shapes a point's result, so journal and result-cache entries
- * never satisfy a differently-configured campaign.
+ * that shapes a point's result, so result-store entries never
+ * satisfy a differently-configured campaign.
  */
 inline harness::PointTask
 matrixPointTask(const harness::SystemConfig& sys,
@@ -125,7 +125,6 @@ matrixPointTask(const harness::SystemConfig& sys,
            << "|parts=" << harness::resolvedSimPartitions(ro);
         return harness::fnv1a64(id.str());
     };
-    task.seed = [&sys](std::size_t) { return sys.seed; };
     task.repro = [&opts, prog](std::size_t i) {
         return std::string(prog) + " --only-point " +
                std::to_string(i) + opts.reproFlags();
@@ -140,8 +139,8 @@ matrixPointTask(const harness::SystemConfig& sys,
  * CampaignSupervisor by default, the distributed work-queue daemon
  * with --serve (docs/ROBUSTNESS.md, "Distributed campaigns") — with
  * each point's full ExperimentResult serialized losslessly so it
- * survives --isolate's process boundary, the journal's disk boundary
- * and the daemon's socket boundary alike. @p groups is filled exactly
+ * survives --isolate's process boundary, the result store's disk
+ * boundary and the daemon's socket boundary alike. @p groups is filled exactly
  * like runAppConfigMatrix for every resolved point; consult the
  * returned run's report before rendering — failed points leave
  * default-constructed entries. A non-null @p capture records each
@@ -152,7 +151,6 @@ runAppConfigMatrixSupervised(
     const harness::SystemConfig& sys,
     const std::vector<workloads::AppProfile>& apps,
     const harness::CampaignOptions& opts, const char* prog,
-    harness::CampaignJournal* journal,
     std::vector<std::vector<harness::ExperimentResult>>* groups,
     harness::ObsCapture* capture = nullptr)
 {
@@ -162,7 +160,7 @@ runAppConfigMatrixSupervised(
         matrixPointTask(sys, apps, opts, prog, capture);
 
     svc::CampaignRun run =
-        svc::runCampaignPoints(opts, count, task, journal, prog);
+        svc::runCampaignPoints(opts, count, task, nullptr, prog);
 
     groups->assign(apps.size(),
                    std::vector<harness::ExperimentResult>(
@@ -283,8 +281,8 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
 /**
  * Extract an unsigned integer field (`"key": N`) from one of our own
  * campaign-JSON lines; 0 when absent. Campaign summaries aggregate
- * counters from result lines this way so journaled (replayed) points
- * count exactly like freshly-run ones.
+ * counters from result lines this way so points replayed from a
+ * result store count exactly like freshly-run ones.
  */
 inline std::uint64_t
 extractJsonU64(const std::string& line, const std::string& key)
@@ -305,7 +303,7 @@ extractJsonU64(const std::string& line, const std::string& key)
  * a resumed campaign can be diffed byte-for-byte against a straight
  * run. The supervisor counter line (kind "supervisor") goes to stdout
  * only: it legitimately differs between a straight and a resumed run
- * (journaled/retries counts), so it must not pollute the artifact.
+ * (cached/retries counts), so it must not pollute the artifact.
  * A distributed campaign adds its daemon counters (@p serviceSummary,
  * kind "service") to stdout and its crash ledger (@p ledgerJsonl,
  * kind "crash-ledger") to the manifest — the manifest file persists

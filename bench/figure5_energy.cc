@@ -7,16 +7,16 @@
  * averages over the five target applications.
  *
  *   figure5_energy [--jobs N] [--deadline-ms N] [--retries N]
- *                  [--backoff-ms N] [--isolate] [--journal FILE]
+ *                  [--backoff-ms N] [--isolate] [--journal DIR]
  *                  [--resume] [--out FILE] [--manifest FILE]
  *                  [--only-point I] [--serve ADDR | --worker ADDR]
  *                  [--cache DIR]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor: sharded over --jobs threads, optionally deadline-bounded
- * / retried / forked per point, and journaled so an interrupted run
- * resumes with byte-identical output (see docs/ROBUSTNESS.md,
- * "Supervised campaigns"). With --serve the same point space is
+ * / retried / forked per point, and stored in the --journal result
+ * store so an interrupted run resumes with byte-identical output (see
+ * docs/ROBUSTNESS.md, "Supervised campaigns"). With --serve the same point space is
  * served to --worker processes over the distributed work queue
  * ("Distributed campaigns"), with byte-identical final output.
  */
@@ -71,16 +71,11 @@ main(int argc, char** argv)
 
     bench::banner("Figure 5 — normalized energy consumption", sys);
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     std::vector<std::vector<harness::ExperimentResult>> groups;
     const svc::CampaignRun run = bench::runAppConfigMatrixSupervised(
-        sys, apps, opts, "figure5_energy", &journal, &groups,
+        sys, apps, opts, "figure5_energy", &groups,
         &capture);
     const harness::SupervisorReport& report = run.report;
-    journal.flush();
 
     std::ostringstream artifact;
     if (report.failures() == 0 && !report.interrupted) {

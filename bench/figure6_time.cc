@@ -5,7 +5,7 @@
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
  *   figure6_time [--jobs N] [--deadline-ms N] [--retries N]
- *                [--backoff-ms N] [--isolate] [--journal FILE]
+ *                [--backoff-ms N] [--isolate] [--journal DIR]
  *                [--resume] [--out FILE] [--manifest FILE]
  *                [--only-point I] [--serve ADDR | --worker ADDR]
  *                [--cache DIR]
@@ -65,16 +65,11 @@ main(int argc, char** argv)
 
     bench::banner("Figure 6 — normalized execution time", sys);
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     std::vector<std::vector<harness::ExperimentResult>> groups;
     const svc::CampaignRun run = bench::runAppConfigMatrixSupervised(
-        sys, apps, opts, "figure6_time", &journal, &groups,
+        sys, apps, opts, "figure6_time", &groups,
         &capture);
     const harness::SupervisorReport& report = run.report;
-    journal.flush();
 
     std::ostringstream artifact;
     if (report.failures() == 0 && !report.interrupted) {

@@ -16,7 +16,7 @@
  *
  *   robustness_faults [--quick] [--jobs N] [--deadline-ms N]
  *                     [--retries N] [--backoff-ms N] [--isolate]
- *                     [--journal FILE] [--resume] [--out FILE]
+ *                     [--journal DIR] [--resume] [--out FILE]
  *                     [--manifest FILE] [--only-point I]
  *                     [--serve ADDR | --worker ADDR] [--cache DIR]
  *
@@ -24,9 +24,10 @@
  * harness::CampaignSupervisor: sharded over --jobs threads, bounded
  * by per-point deadlines, retried with deterministic backoff,
  * optionally forked (--isolate) so a crashing point cannot take the
- * campaign down, and journaled so an interrupted campaign resumes
- * with byte-identical final output (--journal/--resume; Ctrl-C
- * flushes the journal and emits the manifest before exiting).
+ * campaign down, and stored in the --journal result store so an
+ * interrupted campaign resumes with byte-identical final output
+ * (--journal/--resume; Ctrl-C emits the manifest before exiting, and
+ * every completed point is already stored).
  *
  * Emits one JSON line per run in the shared campaign shape (see
  * bench_util.hh), comparable with robustness_seeds output, plus one
@@ -229,7 +230,6 @@ main(int argc, char** argv)
                                 std::to_string(app.iterations) + '|' +
                                 pointLabel(points[i]));
     };
-    task.seed = [&](std::size_t i) { return points[i].seed; };
     task.repro = [&](std::size_t i) {
         return "robustness_faults --only-point " + std::to_string(i) +
                opts.reproFlags() + "   # " + pointLabel(points[i]);
@@ -241,14 +241,9 @@ main(int argc, char** argv)
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     const tb::svc::CampaignRun crun = tb::svc::runCampaignPoints(
-        opts, points.size(), task, &journal, "faults");
+        opts, points.size(), task, nullptr, "faults");
     const harness::SupervisorReport& report = crun.report;
-    journal.flush();
 
     // Canonical campaign output: deterministic across straight,
     // supervised and resumed runs (--out persists it atomically).

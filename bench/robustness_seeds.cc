@@ -6,7 +6,7 @@
  * not hinge on one draw of the random streams.
  *
  *   robustness_seeds [--jobs N] [--deadline-ms N] [--retries N]
- *                    [--backoff-ms N] [--isolate] [--journal FILE]
+ *                    [--backoff-ms N] [--isolate] [--journal DIR]
  *                    [--resume] [--out FILE] [--manifest FILE]
  *                    [--only-point I]
  *                    [--serve ADDR | --worker ADDR] [--cache DIR]
@@ -59,7 +59,7 @@ pointSpace()
  * @p sim_partitions plan (0 = default). The artifact is the
  * three campaign JSON lines followed by one `#metrics` trailer
  * carrying the savings/slowdown at full double precision, so the
- * cross-seed aggregation reproduces exactly from a journal replay.
+ * cross-seed aggregation reproduces exactly from a stored replay.
  */
 std::string
 runPoint(const Point& p, std::size_t index, unsigned sim_partitions,
@@ -180,7 +180,6 @@ main(int argc, char** argv)
             points[i].app + "|parts=" +
             std::to_string(harness::resolvedSimPartitions(plan)));
     };
-    task.seed = [&](std::size_t i) { return points[i].seed; };
     task.repro = [&](std::size_t i) {
         return "robustness_seeds --only-point " + std::to_string(i) +
                opts.reproFlags() + "   # seed=" +
@@ -194,14 +193,9 @@ main(int argc, char** argv)
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     const tb::svc::CampaignRun crun = tb::svc::runCampaignPoints(
-        opts, points.size(), task, &journal, "seeds");
+        opts, points.size(), task, nullptr, "seeds");
     const harness::SupervisorReport& report = crun.report;
-    journal.flush();
 
     std::ostringstream artifact;
     const std::size_t apps_per_seed =

@@ -10,6 +10,7 @@
 #   scripts/check_all.sh faults      # fault campaign only
 #   scripts/check_all.sh lint        # tblint static analysis only
 #   scripts/check_all.sh distributed # daemon/worker kill smoke test
+#   scripts/check_all.sh resume      # SIGINT mid-campaign, resume, diff
 #   scripts/check_all.sh chaos       # daemon SIGKILL+resume under net faults
 #   scripts/check_all.sh pdes        # --sim-threads determinism matrix
 set -euo pipefail
@@ -27,6 +28,8 @@ Presets (default: all of them, in this order):
   undefined    UBSanitizer test suite
   thread       ThreadSanitizer test suite
   distributed  daemon/worker SIGKILL smoke test (docs/ROBUSTNESS.md)
+  resume       interrupt a --journal campaign, --resume it, require a
+               byte-identical artifact (docs/ROBUSTNESS.md)
   chaos        daemon SIGKILL + --serve --resume recovery under
                injected network faults (docs/ROBUSTNESS.md)
   pdes         --sim-threads 1/2/4/8 determinism matrix
@@ -38,7 +41,7 @@ fi
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
     presets=(lint check faults address undefined thread distributed
-             chaos pdes)
+             resume chaos pdes)
 fi
 
 run_preset() {
@@ -56,7 +59,7 @@ run_preset() {
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                -DTB_SANITIZE=$preset)
         ;;
-      lint|distributed|chaos)
+      lint|distributed|resume|chaos)
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
         ;;
       pdes)
@@ -65,7 +68,7 @@ run_preset() {
       *)
         echo "unknown preset '$preset'" >&2
         echo "expected: lint, check, faults, address, undefined," \
-             "thread, distributed, chaos or pdes" >&2
+             "thread, distributed, resume, chaos or pdes" >&2
         return 1
         ;;
     esac
@@ -105,6 +108,16 @@ run_preset() {
         cmake -B "$dir" -G Ninja "${flags[@]}"
         cmake --build "$dir" -j --target figure6_time
         BUILD_DIR="$dir" scripts/distributed_smoke.sh
+        return 0
+    fi
+    if [ "$preset" = resume ]; then
+        # Resume equivalence: SIGINT a --journal campaign mid-run,
+        # resume it from its result store, cmp against a straight run.
+        cmake -B "$dir" -G Ninja "${flags[@]}"
+        cmake --build "$dir" -j --target robustness_faults
+        rm -rf "$dir/resume_smoke"
+        scripts/resume_smoke.sh "$dir/bench/robustness_faults" \
+            "$dir/resume_smoke"
         return 0
     fi
     if [ "$preset" = chaos ]; then

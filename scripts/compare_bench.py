@@ -36,7 +36,7 @@ Policy:
   host-timing diagnostics: printed for the reviewer, never gated.
 * Supervised campaigns emit one counter line per run
   (``"kind": "supervisor"``: retries, timeouts, isolated crashes,
-  journaled resumes — see docs/ROBUSTNESS.md). Counters found in the
+  points replayed from a result store — see docs/ROBUSTNESS.md). Counters found in the
   current file are printed next to the metrics; a supervisor line
   reporting failed or unfinished points fails the comparison, since
   metrics from a partially-failed campaign are not trustworthy.
@@ -133,7 +133,7 @@ def report_supervisor(lines):
         campaign = obj.get("campaign", "?")
         counters = ", ".join(
             f"{key}={obj[key]}"
-            for key in ("points", "ok", "journaled", "retries",
+            for key in ("points", "ok", "cached", "retries",
                         "timeouts", "crashes", "exceptions",
                         "checker_violations", "not_run")
             if key in obj)

@@ -23,8 +23,8 @@
 # at any worker count (docs/ROBUSTNESS.md, "Distributed campaigns").
 #
 # --resume continues an interrupted invocation: partial results/ are
-# kept, campaign benches skip the points already recorded in their
-# journals under results/.journal/, and the regenerated artifacts are
+# kept, campaign benches skip the points already in their result
+# stores under results/.journal/, and the regenerated artifacts are
 # byte-identical to an uninterrupted run. Campaign failures no longer
 # zero out the sweep: each campaign writes a failure manifest
 # (results/<bench>.manifest.json) with one repro command per failed
@@ -61,12 +61,12 @@ ctest --test-dir build --output-on-failure
 
 mkdir -p results results/.journal
 
-# Supervised campaign benches: journaled (resumable), final artifact
+# Supervised campaign benches: stored (resumable), final artifact
 # emitted by atomic rename, failure manifest on any failed point.
 campaign_args() {
     local name="$1"
     local args="--jobs $JOBS --sim-threads $SIM_THREADS"
-    args="$args --journal results/.journal/$name.jsonl"
+    args="$args --journal results/.journal/$name"
     args="$args --out results/$name.json"
     args="$args --manifest results/$name.manifest.json"
     [ "$RESUME" = 1 ] && args="$args --resume"
@@ -74,7 +74,7 @@ campaign_args() {
 }
 
 # Distributed mode: the bench binary itself is the daemon (it owns
-# the journal, cache, aggregation and rendering); N copies of the same
+# the result stores, aggregation and rendering); N copies of the same
 # binary lease points from it as workers. The unix socket lives in a
 # private tmpdir so concurrent invocations cannot collide.
 run_distributed() {

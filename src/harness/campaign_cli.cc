@@ -1,6 +1,8 @@
 #include "harness/campaign_cli.hh"
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,7 +20,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
         "%s: %s\n"
         "usage: %s %s[--jobs N] [--sim-threads N] [--sim-partitions P]\n"
         "       [--deadline-ms N] [--retries N]\n"
-        "       [--backoff-ms N] [--isolate] [--journal FILE] "
+        "       [--backoff-ms N] [--isolate] [--journal DIR] "
         "[--resume]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n"
@@ -31,7 +33,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
 
 std::uint64_t
 parseU64(const char* prog, const char* opt, const char* text,
-         bool allowQuick)
+         bool allowQuick, std::uint64_t max = UINT64_MAX)
 {
     errno = 0;
     char* end = nullptr;
@@ -42,6 +44,13 @@ parseU64(const char* prog, const char* opt, const char* text,
         std::snprintf(buf, sizeof(buf),
                       "option %s: '%s' is not a non-negative integer",
                       opt, text);
+        usage(prog, buf, allowQuick);
+    }
+    if (v > max) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "option %s: %s is out of range [0, %llu]", opt,
+                      text, static_cast<unsigned long long>(max));
         usage(prog, buf, allowQuick);
     }
     return v;
@@ -81,20 +90,21 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         };
 
         if (opt == "--jobs") {
-            o.policy.jobs = static_cast<unsigned>(
-                parseU64(prog, "--jobs", value(i), allowQuick));
+            o.policy.jobs = static_cast<unsigned>(parseU64(
+                prog, "--jobs", value(i), allowQuick, UINT_MAX));
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
         } else if (opt == "--sim-threads") {
-            o.simThreads = static_cast<unsigned>(
-                parseU64(prog, "--sim-threads", value(i), allowQuick));
+            o.simThreads = static_cast<unsigned>(parseU64(
+                prog, "--sim-threads", value(i), allowQuick, UINT_MAX));
             if (o.simThreads == 0) {
                 usage(prog, "option --sim-threads: must be >= 1",
                       allowQuick);
             }
         } else if (opt == "--sim-partitions") {
-            o.simPartitions = static_cast<unsigned>(parseU64(
-                prog, "--sim-partitions", value(i), allowQuick));
+            o.simPartitions = static_cast<unsigned>(
+                parseU64(prog, "--sim-partitions", value(i),
+                         allowQuick, UINT_MAX));
             if (o.simPartitions == 0) {
                 usage(prog, "option --sim-partitions: must be >= 1",
                       allowQuick);
@@ -103,9 +113,11 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             o.policy.deadlineMs =
                 parseU64(prog, "--deadline-ms", value(i), allowQuick);
         } else if (opt == "--retries") {
+            // 1 + N attempts must fit.
             o.policy.maxAttempts =
-                1 + static_cast<unsigned>(
-                        parseU64(prog, "--retries", value(i), allowQuick));
+                1 + static_cast<unsigned>(parseU64(
+                        prog, "--retries", value(i), allowQuick,
+                        UINT_MAX - 1u));
         } else if (opt == "--backoff-ms") {
             o.policy.backoffBaseMs =
                 parseU64(prog, "--backoff-ms", value(i), allowQuick);
@@ -120,8 +132,8 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         } else if (opt == "--manifest") {
             o.manifestPath = value(i);
         } else if (opt == "--only-point") {
-            o.onlyPoint = static_cast<long>(
-                parseU64(prog, "--only-point", value(i), allowQuick));
+            o.onlyPoint = static_cast<long>(parseU64(
+                prog, "--only-point", value(i), allowQuick, LONG_MAX));
         } else if (opt == "--trace") {
             // FILE[:categories] — the first ':' splits the two.
             const std::string spec = value(i);
@@ -195,7 +207,7 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
     }
 
     if (o.resume && o.journalPath.empty())
-        usage(prog, "--resume requires --journal FILE", allowQuick);
+        usage(prog, "--resume requires --journal DIR", allowQuick);
     if (!o.serveAddr.empty() && !o.workerAddr.empty()) {
         usage(prog, "--serve and --worker are mutually exclusive",
               allowQuick);

@@ -17,8 +17,10 @@
  *   --retries N       extra attempts per failed point
  *   --backoff-ms N    base of the exponential retry backoff
  *   --isolate         fork each point (crash containment)
- *   --journal FILE    append completed points to FILE (JSONL)
- *   --resume          skip points already in the journal
+ *   --journal DIR     store every completed point in the result
+ *                     store DIR (created if missing; fatal when
+ *                     unusable)
+ *   --resume          skip points already in the --journal store
  *   --out FILE        atomically write the final artifact to FILE
  *   --manifest FILE   atomically write the failure manifest to FILE
  *   --only-point I    run just point I inline (repro mode)
@@ -30,7 +32,8 @@
  *   --serve ADDR      run as the campaign daemon on unix:PATH or
  *                     tcp:HOST:PORT; points execute on workers
  *   --worker ADDR     run as a worker of the daemon at ADDR
- *   --cache DIR       content-addressed result cache directory
+ *   --cache DIR       shared result store, always read (best
+ *                     effort: an unusable DIR runs uncached)
  *   --lease-ms N      per-lease deadline on the daemon (default 60000)
  *   --heartbeat-ms N  worker heartbeat interval (default 1000)
  *   --worker-name S   announced worker identity (default pid@host)
@@ -67,8 +70,8 @@ struct CampaignOptions
     /**
      * PDES worker threads per simulation (--sim-threads,
      * harness/parallel_sim.hh). Like --jobs it never changes results,
-     * so it is excluded from config hashes, journals, caches and
-     * reproFlags().
+     * so it is excluded from point keys (and so from the result
+     * stores) and from reproFlags().
      */
     unsigned simThreads = 1;
     /**
@@ -80,7 +83,7 @@ struct CampaignOptions
      * key) and reproFlags() carries an explicit count.
      */
     unsigned simPartitions = 0;
-    std::string journalPath; ///< "" = no journal
+    std::string journalPath; ///< --journal store; "" = none
     bool resume = false;
     std::string outPath;      ///< "" = stdout only
     std::string manifestPath; ///< "" = stderr only
@@ -92,7 +95,7 @@ struct CampaignOptions
     std::string statsJsonPath; ///< "" = no stats JSONL
     std::string serveAddr;     ///< "" = not a daemon
     std::string workerAddr;    ///< "" = not a worker
-    std::string cacheDir;      ///< "" = no result cache
+    std::string cacheDir;      ///< --cache store; "" = none
     std::uint64_t leaseMs = 60000;
     std::uint64_t heartbeatMs = 1000;
     std::string workerName;    ///< "" = pid@host
@@ -112,9 +115,10 @@ struct CampaignOptions
     }
 
     /**
-     * Parse @p argv strictly. Unknown options, malformed numbers,
-     * `--quick` when @p allowQuick is false, and `--resume` without
-     * `--journal` all print a usage error and exit 2.
+     * Parse @p argv strictly. Unknown options, malformed or
+     * out-of-range numbers, `--quick` when @p allowQuick is false,
+     * and `--resume` without `--journal` all print a usage error and
+     * exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);

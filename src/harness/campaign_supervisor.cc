@@ -29,7 +29,7 @@ void
 sigintHandler(int)
 {
     // Second ^C: the user really means it — restore default handling
-    // and die on the spot (the journal is flushed per record anyway).
+    // and die on the spot (each completed point is already stored).
     if (g_stop_requested) {
         std::signal(SIGINT, SIG_DFL);
         std::raise(SIGINT);
@@ -72,7 +72,6 @@ outcomeName(PointOutcome o)
 {
     switch (o) {
       case PointOutcome::Ok:               return "ok";
-      case PointOutcome::Journaled:        return "journaled";
       case PointOutcome::Cached:           return "cached";
       case PointOutcome::Exception:        return "exception";
       case PointOutcome::CheckerViolation: return "checker-violation";
@@ -107,7 +106,6 @@ SupervisorReport::writeManifest(std::ostream& os,
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointRecord& r = points[i];
         if (r.outcome == PointOutcome::Ok ||
-            r.outcome == PointOutcome::Journaled ||
             r.outcome == PointOutcome::Cached)
             continue;
         if (r.outcome == PointOutcome::NotRun && !interrupted)
@@ -145,7 +143,6 @@ SupervisorReport::summaryJson(const std::string& campaign) const
         .field("kind", "supervisor")
         .field("points", points.size())
         .field("ok", count(PointOutcome::Ok))
-        .field("journaled", count(PointOutcome::Journaled))
         .field("cached", count(PointOutcome::Cached))
         .field("retries", retries)
         .field("timeouts", count(PointOutcome::Timeout))
@@ -429,30 +426,13 @@ CampaignSupervisor::supervisePoint(const PointTask& task,
                                    SupervisorReport* report)
 {
     PointRecord& rec = report->points[i];
-    const std::uint64_t key =
-        task.key ? task.key(i)
-                 : fnv1a64("point:" + std::to_string(i));
+    const std::uint64_t key = task.keyOf(i);
 
-    if (journal_ && journal_->active()) {
-        std::string stored;
-        if (journal_->lookup(i, key, &stored)) {
-            results_[i] = std::move(stored);
-            rec.outcome = PointOutcome::Journaled;
-            return;
-        }
-    }
     if (cacheLookup_) {
         std::string stored;
         if (cacheLookup_(key, &stored)) {
             results_[i] = std::move(stored);
             rec.outcome = PointOutcome::Cached;
-            // A cache hit still lands in the journal so a later
-            // --resume of this campaign replays it without the cache.
-            if (journal_ && journal_->active()) {
-                journal_->record(i, key,
-                                 task.seed ? task.seed(i) : 0,
-                                 results_[i]);
-            }
             return;
         }
     }
@@ -473,11 +453,6 @@ CampaignSupervisor::supervisePoint(const PointTask& task,
         if (last.outcome == PointOutcome::Ok) {
             results_[i] = std::move(last.payload);
             rec.outcome = PointOutcome::Ok;
-            if (journal_ && journal_->active()) {
-                journal_->record(i, key,
-                                 task.seed ? task.seed(i) : 0,
-                                 results_[i]);
-            }
             if (cacheStore_)
                 cacheStore_(key, results_[i]);
             return;

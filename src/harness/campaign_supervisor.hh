@@ -19,14 +19,15 @@
  *  - optional **crash isolation** (`--isolate`): each point forks into
  *    a child process, so a SIGSEGV/abort is recorded as a point
  *    failure instead of taking down the campaign;
- *  - journaled **checkpoint/resume** via CampaignJournal: completed
- *    points are skipped on resume and their stored results replayed,
- *    keeping the final artifact byte-identical to an unbroken run.
+ *  - **store hooks** (svc::CampaignStores behind attachCache): a
+ *    point already in a result store is replayed instead of run, and
+ *    every completed point is stored, so a resumed campaign's final
+ *    artifact is byte-identical to an unbroken run.
  *
  * Points return their artifact as a string (deposited by index,
  * emitted in order by the caller) because that is the only result
  * shape that survives both the process boundary of --isolate and the
- * disk boundary of resume.
+ * disk boundary of a result store.
  *
  * Caveats, by mode: without --isolate a timed-out point's thread is
  * *abandoned* (it cannot be killed portably) — the memory it may
@@ -47,9 +48,8 @@
 #include <thread>
 #include <vector>
 
+#include "harness/posix_io.hh"
 #include "sim/thread_safety.hh"
-
-#include "harness/campaign_journal.hh"
 
 namespace tb {
 namespace harness {
@@ -58,8 +58,7 @@ namespace harness {
 enum class PointOutcome
 {
     Ok,               ///< point completed, result deposited
-    Journaled,        ///< skipped: result replayed from the journal
-    Cached,           ///< skipped: artifact served by the result cache
+    Cached,           ///< skipped: artifact replayed from a result store
     Exception,        ///< threw (FatalError or other std::exception)
     CheckerViolation, ///< threw PanicError (protocol/liveness checker)
     Timeout,          ///< exceeded the per-point deadline
@@ -134,15 +133,25 @@ struct PointTask
     /** Run point i, return its serialized artifact. Required. */
     std::function<std::string(std::size_t)> run;
     /**
-     * Config hash of point i for journal validity (sweep shape,
-     * flags, workload knobs). Optional; defaults to hashing the
-     * index only.
+     * Config hash of point i: everything that shapes its result
+     * (sweep shape, flags, workload knobs, seed). It is the point's
+     * only identity in a result store. Optional; see keyOf().
      */
     std::function<std::uint64_t(std::size_t)> key;
-    /** Workload seed of point i (recorded in the journal). Optional. */
+    /**
+     * Workload seed of point i. Optional and read by nothing: stores
+     * identify a point by its key alone. Kept so callers that set it
+     * still compile.
+     */
     std::function<std::uint64_t(std::size_t)> seed;
     /** One-line repro command for point i. Optional. */
     std::function<std::string(std::size_t)> repro;
+
+    /** Key of point i: key(i), or a hash of the index when unset. */
+    std::uint64_t keyOf(std::size_t i) const
+    {
+        return key ? key(i) : fnv1a64("point:" + std::to_string(i));
+    }
 };
 
 /** Supervised executor for a fixed-size set of independent points. */
@@ -157,16 +166,13 @@ class CampaignSupervisor
     CampaignSupervisor(const CampaignSupervisor&) = delete;
     CampaignSupervisor& operator=(const CampaignSupervisor&) = delete;
 
-    /** Journal to consult/append; may be inactive or null. */
-    void attachJournal(CampaignJournal* journal) { journal_ = journal; }
-
     /**
-     * Content-addressed result cache hooks (svc::ResultCache, passed
-     * as functions to keep harness free of a svc dependency). The
-     * lookup is consulted after the journal; a hit classifies the
-     * point Cached and skips the simulation. Successful points are
-     * offered to @p store. Both run on the supervising thread of the
-     * point (callers must supply thread-safe hooks when jobs > 1).
+     * Result store hooks (svc::CampaignStores, passed as functions to
+     * keep harness free of a svc dependency). A lookup hit classifies
+     * the point Cached and skips the simulation. Successful points
+     * are offered to @p store. Both run on the supervising thread of
+     * the point (callers must supply thread-safe hooks when
+     * jobs > 1).
      */
     void
     attachCache(
@@ -184,7 +190,7 @@ class CampaignSupervisor
      */
     SupervisorReport run(std::size_t count, const PointTask& task);
 
-    /** Artifacts of ok/journaled points, by index ("" otherwise). */
+    /** Artifacts of ok/cached points, by index ("" otherwise). */
     const std::vector<std::string>& results() const { return results_; }
 
     /**
@@ -199,9 +205,9 @@ class CampaignSupervisor
 
     /**
      * Install the campaign SIGINT handler: first ^C requests a stop
-     * (workers finish their current attempt, the journal is already
-     * on disk, the caller emits the manifest), a second ^C falls back
-     * to default handling.
+     * (workers finish their current attempt, completed points are
+     * already in the stores, the caller emits the manifest), a second
+     * ^C falls back to default handling.
      */
     static void installSigintHandler();
 
@@ -228,7 +234,6 @@ class CampaignSupervisor
                         SupervisorReport* report);
 
     SupervisorPolicy policy_;
-    CampaignJournal* journal_ = nullptr;
     std::function<bool(std::uint64_t, std::string*)> cacheLookup_;
     std::function<void(std::uint64_t, const std::string&)> cacheStore_;
     std::vector<std::string> results_;

@@ -183,8 +183,8 @@ struct RunOptions
      * conservative PDES engine (harness/parallel_sim.hh); 1 = the
      * serial reference engine. Never affects results — stats, traces
      * and artifacts are byte-identical at any value — so it is NOT
-     * part of the experiment's identity (config hashes, journals and
-     * result caches ignore it, exactly like --jobs).
+     * part of the experiment's identity (config hashes and result
+     * stores ignore it, exactly like --jobs).
      */
     unsigned simThreads = 1;
     /**

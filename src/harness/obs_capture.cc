@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness/campaign_journal.hh"
+#include "harness/posix_io.hh"
 #include "harness/report.hh"
 #include "sim/types.hh"
 

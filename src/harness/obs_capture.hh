@@ -22,7 +22,7 @@
  * StatVisitor seam) and the per-episode prediction ledger.
  *
  * Coverage caveat: only points simulated in this process are captured.
- * Points replayed from a resume journal or run in `--isolate` children
+ * Points replayed from a result store or run in `--isolate` children
  * carry their result across the boundary but not their trace/stats.
  */
 

@@ -52,8 +52,8 @@ class ParallelCampaignRunner
      * the campaign never hides how much of it failed.
      *
      * (CampaignSupervisor wraps this model with deadlines, retries,
-     * crash isolation and journaled resume — prefer it for long
-     * campaigns.)
+     * crash isolation and resume from a result store — prefer it
+     * for long campaigns.)
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

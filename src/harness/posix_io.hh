@@ -2,7 +2,9 @@
  * @file
  * EINTR-safe POSIX I/O helpers shared by every harness-layer process
  * boundary: the --isolate fork pipe in campaign_supervisor.cc and the
- * socket transport of the distributed campaign service (src/svc).
+ * socket transport of the distributed campaign service (src/svc),
+ * plus the two primitives every persisted artifact is built on: the
+ * FNV-1a checksum and the atomic file publish.
  *
  * Two failure modes keep recurring around pipes and sockets:
  *
@@ -20,6 +22,7 @@
 #define TB_HARNESS_POSIX_IO_HH_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include <sys/types.h>
@@ -87,6 +90,19 @@ int acceptOne(int listenFd);
 
 /** Drain @p fd to @p out until EOF (EINTR-safe); false on error. */
 bool readToEof(int fd, std::string* out);
+
+/** FNV-1a 64-bit hash of @p data (point keys, artifact checksums). */
+std::uint64_t fnv1a64(const std::string& data);
+
+/**
+ * Write @p content to @p path atomically: write a temp file next to
+ * it, flush, then rename over the destination. Readers never observe
+ * a partial artifact. The temp name is unique per process and call,
+ * so concurrent writers of one path (two campaigns sharing a result
+ * store) each publish a whole file and the last rename wins. Throws
+ * FatalError on I/O failure.
+ */
+void writeFileAtomic(const std::string& path, const std::string& content);
 
 } // namespace harness
 } // namespace tb

@@ -54,7 +54,6 @@ ServiceStats::summaryJson(const std::string& campaign) const
         .field("duplicate_mismatches", duplicateMismatches)
         .field("stale_results", staleResults)
         .field("results", resultsAccepted)
-        .field("journal_hits", journalHits)
         .field("cache_hits", cacheHits)
         .field("cache_misses", cacheMisses)
         .field("cache_evictions", cacheEvictions);
@@ -131,100 +130,36 @@ CampaignService::nowMs() const
 void
 CampaignService::preResolveStored()
 {
-    if (!haveKeys_)
+    if (!haveKeys_ || !stores_ || !stores_->any())
         return;
+    std::size_t stored = 0;
     for (std::size_t i = 0; i < keys_.size(); ++i) {
-        const WorkQueue::Point& p = queue_->point(i);
-        if (p.state != WorkQueue::Point::State::Pending)
+        if (queue_->point(i).state != WorkQueue::Point::State::Pending)
             continue;
-        std::string stored;
-        if (journal_ && journal_->active() &&
-            journal_->lookup(i, keys_[i], &stored)) {
-            results_[i] = std::move(stored);
-            queue_->resolveStored(i,
-                                  harness::PointOutcome::Journaled,
-                                  keys_[i],
-                                  harness::fnv1a64(results_[i]));
-            ++stats_.journalHits;
-            continue;
-        }
-        if (cache_ && cache_->lookup(keys_[i], &stored)) {
-            results_[i] = std::move(stored);
+        if (stores_->lookup(keys_[i], &results_[i])) {
             queue_->resolveStored(i, harness::PointOutcome::Cached,
                                   keys_[i],
                                   harness::fnv1a64(results_[i]));
-            if (journal_ && journal_->active()) {
-                journal_->record(
-                    i, keys_[i],
-                    i < seeds_.size() ? seeds_[i] : 0, results_[i]);
-            }
+            ++stored;
         }
     }
-    if (cache_) {
-        stats_.cacheHits = cache_->stats().hits;
-        stats_.cacheMisses = cache_->stats().misses;
-        stats_.cacheEvictions = cache_->stats().evictions;
-    }
-    if (svcJournal_ && svcJournal_->active())
-        svcJournal_->recordCampaign(fingerprint_, keys_.size());
-}
-
-void
-CampaignService::recoverServiceState()
-{
-    if (!svcJournal_ || !svcJournal_->active() ||
-        svcJournal_->loaded() == 0)
+    const CacheStats cs = stores_->stats();
+    stats_.cacheHits = cs.hits;
+    stats_.cacheMisses = cs.misses;
+    stats_.cacheEvictions = cs.evictions;
+    if (!stores_->resuming())
         return;
-    const std::uint64_t now = nowMs();
-    std::size_t restored = 0, requeued = 0;
-    for (const auto& [i, rec] : svcJournal_->recovered()) {
-        if (i >= queue_->size())
-            continue; // journal from a larger campaign: fatal later
-        if (queue_->point(i).state !=
-            WorkQueue::Point::State::Pending)
-            continue; // completion journal already resolved it
-        // Re-arm the consumed attempts and replay the backoff that
-        // was pending at the crash, so the restarted queue paces
-        // retries exactly like the dead daemon would have.
-        std::uint64_t notBefore = 0;
-        if (rec.attempts >= 1) {
-            harness::SupervisorPolicy sp;
-            sp.backoffBaseMs = opts_.queue.backoffBaseMs;
-            sp.backoffCapMs = opts_.queue.backoffCapMs;
-            sp.seed = opts_.queue.seed;
-            notBefore =
-                now + harness::CampaignSupervisor::backoffDelayMs(
-                          sp, i, rec.attempts + 1);
-        }
-        queue_->restore(i, rec.attempts, notBefore);
-        ++restored;
-        if (rec.outstanding)
-            ++requeued;
-    }
-    // The restart itself is a crash event: the previous daemon died
-    // with this scheduling state on the books. Ledgering it puts the
-    // SIGKILL in the failure manifest next to the worker losses.
+    // A resumed daemon replaces one that died: everything the stores
+    // hold is done, everything else is leased afresh with a full
+    // attempt budget. Ledgering the restart puts the death in the
+    // failure manifest next to the worker losses.
     ledger_.add(0, "daemon", "daemon-restart", -1,
-                "recovered " +
-                    std::to_string(svcJournal_->loaded()) +
-                    " service-journal event(s): " +
-                    std::to_string(restored) +
-                    " unresolved point(s) restored, " +
-                    std::to_string(requeued) +
-                    " outstanding lease(s) requeued");
-}
-
-void
-CampaignService::failPoint(std::size_t point, LeaseLoss loss,
-                           harness::PointOutcome outcome,
-                           const std::string& message,
-                           std::uint64_t now)
-{
-    queue_->fail(point, loss, outcome, message, now);
-    if (svcJournal_ && svcJournal_->active()) {
-        svcJournal_->recordLoss(point, queue_->point(point).attempts,
-                                leaseLossName(loss));
-    }
+                "resumed from the result store: " +
+                    std::to_string(stored) + " of " +
+                    std::to_string(keys_.size()) +
+                    " point(s) stored, " +
+                    std::to_string(keys_.size() - stored) +
+                    " to re-lease");
 }
 
 bool
@@ -250,9 +185,9 @@ CampaignService::failLeases(Connection* conn, LeaseLoss loss,
         ledger_.add(conn->workerId, conn->label(),
                     leaseLossName(loss), static_cast<long>(point),
                     detail);
-        failPoint(point, loss, harness::PointOutcome::Crash,
-                  "worker " + conn->label() + " lost: " + detail,
-                  now);
+        queue_->fail(point, loss, harness::PointOutcome::Crash,
+                     "worker " + conn->label() + " lost: " + detail,
+                     now);
     }
 }
 
@@ -404,8 +339,6 @@ CampaignService::onLeaseRequest(Connection* conn, const Frame&)
         return;
     }
     ++stats_.leases;
-    if (svcJournal_ && svcJournal_->active())
-        svcJournal_->recordLease(g.point, g.attempt, conn->label());
     std::string p;
     appendU64(&p, g.point);
     appendU64(&p, g.attempt);
@@ -451,10 +384,10 @@ CampaignService::onResult(Connection* conn, const Frame& f)
         ++stats_.protocolErrors;
         ledger_.add(conn->workerId, conn->label(), "protocol-error",
                     static_cast<long>(i), problem);
-        failPoint(i, LeaseLoss::ProtocolError,
-                  harness::PointOutcome::Crash,
-                  "worker " + conn->label() + ": " + problem,
-                  nowMs());
+        queue_->fail(i, LeaseLoss::ProtocolError,
+                     harness::PointOutcome::Crash,
+                     "worker " + conn->label() + ": " + problem,
+                     nowMs());
         std::string p;
         appendU64(&p, point);
         send(conn, FrameType::ResultAck, p);
@@ -464,18 +397,8 @@ CampaignService::onResult(Connection* conn, const Frame& f)
       case CompleteOutcome::Accepted:
         results_[i] = std::move(artifact);
         ++stats_.resultsAccepted;
-        if (journal_ && journal_->active()) {
-            journal_->record(i, key,
-                             i < seeds_.size() ? seeds_[i] : 0,
-                             results_[i]);
-        }
-        if (svcJournal_ && svcJournal_->active())
-            svcJournal_->recordDone(i);
-        if (cache_) {
-            cache_->store(key, results_[i]);
-            stats_.cacheMisses = cache_->stats().misses;
-            stats_.cacheEvictions = cache_->stats().evictions;
-        }
+        if (stores_)
+            stores_->store(key, results_[i]);
         break;
       case CompleteOutcome::DuplicateMatch:
         ++stats_.duplicates;
@@ -521,8 +444,8 @@ CampaignService::onPointError(Connection* conn, const Frame& f)
             : harness::PointOutcome::Exception;
     ledger_.add(conn->workerId, conn->label(), "point-error",
                 static_cast<long>(point), message);
-    failPoint(static_cast<std::size_t>(point),
-              LeaseLoss::WorkerError, po, message, nowMs());
+    queue_->fail(static_cast<std::size_t>(point),
+                 LeaseLoss::WorkerError, po, message, nowMs());
     std::string p;
     appendU64(&p, point);
     send(conn, FrameType::ResultAck, p);
@@ -640,12 +563,12 @@ CampaignService::checkDeadlines()
                     "lease deadline of " +
                         std::to_string(opts_.queue.leaseMs) +
                         " ms passed without a result");
-        failPoint(point, LeaseLoss::Expired,
-                  harness::PointOutcome::Timeout,
-                  "lease deadline of " +
-                      std::to_string(opts_.queue.leaseMs) +
-                      " ms exceeded",
-                  now);
+        queue_->fail(point, LeaseLoss::Expired,
+                     harness::PointOutcome::Timeout,
+                     "lease deadline of " +
+                         std::to_string(opts_.queue.leaseMs) +
+                         " ms exceeded",
+                     now);
     }
     // Heartbeat liveness: a connection whose last activity is older
     // than kHeartbeatMisses intervals is dead even though the socket
@@ -692,14 +615,7 @@ CampaignService::run(std::size_t count)
     if (haveKeys_ && keys_.size() != count)
         fatal("campaign service: ", keys_.size(),
               " keys for ", count, " points");
-    if (svcJournal_ && svcJournal_->active() &&
-        svcJournal_->hasCampaign() && svcJournal_->count() != count) {
-        fatal("campaign service: resumed service journal describes ",
-              svcJournal_->count(), " points, this campaign has ",
-              count, " — wrong --journal file?");
-    }
     preResolveStored();
-    recoverServiceState();
 
     std::string err;
     listenFd_ = listenOn(opts_.listen, &err);
@@ -780,13 +696,6 @@ CampaignService::run(std::size_t count)
     ::close(listenFd_);
     listenFd_ = -1;
     cleanupAddress(opts_.listen);
-    if (journal_)
-        journal_->flush();
-    if (cache_) {
-        stats_.cacheHits = cache_->stats().hits;
-        stats_.cacheMisses = cache_->stats().misses;
-        stats_.cacheEvictions = cache_->stats().evictions;
-    }
 
     harness::SupervisorReport report;
     queue_->fillReport(&report);

@@ -18,15 +18,18 @@
  *    re-eligibility follows the supervisor's deterministic
  *    exponential backoff;
  *  - duplicate completions from slow-but-alive workers are resolved
- *    idempotently against the journal's config-hash + FNV-1a
+ *    idempotently against the recorded config-hash + FNV-1a
  *    checksum pair;
  *  - every observed failure is recorded in the per-worker crash
- *    ledger, which lands in the PR 4 failure manifest.
+ *    ledger, which lands in the campaign's failure manifest.
  *
- * In front of the queue sit the CampaignJournal (exactly PR 4's
- * resume semantics) and the content-addressed ResultCache: points
- * resolved from either are never leased, so a warm-cache re-run
- * performs zero simulations.
+ * In front of the queue sit the result stores (CampaignStores: the
+ * `--journal` and `--cache` stores): points resolved from them are
+ * never leased, so a warm-cache re-run performs zero simulations.
+ * The stores are the daemon's only persistent state. A daemon
+ * restarted with `--resume` resolves what they hold and leases every
+ * other point afresh, attempt budget and all; lease and attempt
+ * history lives only in the crash ledger of the run that saw it.
  *
  * The daemon is single-threaded: one poll() loop multiplexes the
  * listener and every worker connection, and frames demux through a
@@ -44,12 +47,10 @@
 #include <string>
 #include <vector>
 
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "svc/crash_ledger.hh"
 #include "svc/frame.hh"
 #include "svc/result_cache.hh"
-#include "svc/service_journal.hh"
 #include "svc/work_queue.hh"
 
 namespace tb {
@@ -87,8 +88,7 @@ struct ServiceStats
     std::uint64_t duplicateMismatches = 0;
     std::uint64_t staleResults = 0;
     std::uint64_t resultsAccepted = 0;
-    std::uint64_t journalHits = 0;
-    std::uint64_t cacheHits = 0;
+    std::uint64_t cacheHits = 0; ///< points resolved from a store
     std::uint64_t cacheMisses = 0;
     std::uint64_t cacheEvictions = 0;
 
@@ -108,38 +108,22 @@ class CampaignService
     CampaignService(const CampaignService&) = delete;
     CampaignService& operator=(const CampaignService&) = delete;
 
-    /** Journal to consult/append (PR 4 resume); may be null. */
-    void attachJournal(harness::CampaignJournal* journal)
-    {
-        journal_ = journal;
-    }
-
-    /** Content-addressed result cache; may be null. */
-    void attachCache(ResultCache* cache) { cache_ = cache; }
-
     /**
-     * Service journal making the daemon's scheduling state durable
-     * (docs/ROBUSTNESS.md, "Daemon crash recovery"); may be null.
-     * Must be open()ed by the caller; when it was opened with resume,
-     * run() replays it into the work queue before serving.
+     * Result stores to resolve points from and store completions
+     * in; may be null. When they resume (`--resume`), the run is a
+     * daemon restart, ledgered as one `daemon-restart` event once
+     * the stored points are resolved.
      */
-    void attachServiceJournal(ServiceJournal* journal)
-    {
-        svcJournal_ = journal;
-    }
+    void attachStores(CampaignStores* stores) { stores_ = stores; }
 
     /**
-     * Per-point config hashes / workload seeds. When set (the
-     * campaign-binary --serve mode), journal and cache resolve
-     * before any worker connects and worker-reported keys are
-     * verified against the table. When absent (generic tb_campaignd),
-     * the table is uploaded by the first worker's Keys frame.
+     * Per-point config hashes. When set (the campaign-binary --serve
+     * mode), the stores resolve points before any worker connects
+     * and worker-reported keys are verified against the table. When
+     * absent (generic tb_campaignd), the table is uploaded by the
+     * first worker's Keys frame.
      */
     void setKeys(std::vector<std::uint64_t> keys);
-    void setSeeds(std::vector<std::uint64_t> seeds)
-    {
-        seeds_ = std::move(seeds);
-    }
 
     /**
      * Serve all @p count points until each is Done or Failed (or
@@ -163,10 +147,6 @@ class CampaignService
     struct Connection;
 
     void preResolveStored();
-    void recoverServiceState();
-    void failPoint(std::size_t point, LeaseLoss loss,
-                   harness::PointOutcome outcome,
-                   const std::string& message, std::uint64_t nowMs);
     std::uint64_t nowMs() const;
     void acceptConnections();
     void serviceConnection(Connection* conn);
@@ -190,11 +170,8 @@ class CampaignService
     void onGoodbye(Connection* conn, const Frame& f);
 
     ServiceOptions opts_;
-    harness::CampaignJournal* journal_ = nullptr;
-    ResultCache* cache_ = nullptr;
-    ServiceJournal* svcJournal_ = nullptr;
+    CampaignStores* stores_ = nullptr;
     std::vector<std::uint64_t> keys_;
-    std::vector<std::uint64_t> seeds_;
     bool haveKeys_ = false;
     std::uint64_t fingerprint_ = 0;
 

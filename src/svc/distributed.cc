@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -14,44 +15,33 @@ namespace svc {
 
 namespace {
 
-/** The supervisor's default key function, mirrored for the daemon. */
-std::uint64_t
-pointKey(const harness::PointTask& task, std::size_t i)
-{
-    return task.key ? task.key(i)
-                    : harness::fnv1a64("point:" + std::to_string(i));
-}
-
 std::vector<std::uint64_t>
 pointKeys(const harness::PointTask& task, std::size_t count)
 {
     std::vector<std::uint64_t> keys(count);
     for (std::size_t i = 0; i < count; ++i)
-        keys[i] = pointKey(task, i);
+        keys[i] = task.keyOf(i);
     return keys;
 }
 
 CampaignRun
 runLocal(const harness::CampaignOptions& opts, std::size_t count,
-         const harness::PointTask& task,
-         harness::CampaignJournal* journal, ResultCache* cache)
+         const harness::PointTask& task, CampaignStores* stores)
 {
     harness::CampaignSupervisor supervisor(opts.policy);
-    if (journal && journal->active())
-        supervisor.attachJournal(journal);
-    if (cache && cache->active()) {
-        // The supervisor may run points on several threads; the cache
-        // itself is single-threaded, so the hooks serialize on a
+    if (stores->any()) {
+        // The supervisor may run points on several threads; the
+        // stores are single-threaded, so the hooks serialize on a
         // mutex shared by both closures.
         auto mu = std::make_shared<Mutex>();
         supervisor.attachCache(
-            [cache, mu](std::uint64_t key, std::string* out) {
+            [stores, mu](std::uint64_t key, std::string* out) {
                 LockGuard lock(*mu);
-                return cache->lookup(key, out);
+                return stores->lookup(key, out);
             },
-            [cache, mu](std::uint64_t key, const std::string& r) {
+            [stores, mu](std::uint64_t key, const std::string& r) {
                 LockGuard lock(*mu);
-                cache->store(key, r);
+                stores->store(key, r);
             });
     }
     CampaignRun run;
@@ -62,8 +52,7 @@ runLocal(const harness::CampaignOptions& opts, std::size_t count,
 
 CampaignRun
 runServed(const harness::CampaignOptions& opts, std::size_t count,
-          const harness::PointTask& task,
-          harness::CampaignJournal* journal, ResultCache* cache,
+          const harness::PointTask& task, CampaignStores* stores,
           const std::string& campaignName)
 {
     ServiceOptions so;
@@ -78,27 +67,8 @@ runServed(const harness::CampaignOptions& opts, std::size_t count,
     so.queue.seed = opts.policy.seed;
 
     CampaignService service(so);
-    ServiceJournal svcJournal;
-    if (journal && journal->active()) {
-        service.attachJournal(journal);
-        // The scheduling journal rides alongside the completion
-        // journal: <journal>.svc. Opening with the same --resume flag
-        // makes `--serve --resume` survive a daemon SIGKILL — leases,
-        // attempt counts and backoff state are replayed before the
-        // listener opens (docs/ROBUSTNESS.md, "Daemon crash
-        // recovery").
-        svcJournal.open(journal->path() + ".svc", opts.resume);
-        service.attachServiceJournal(&svcJournal);
-    }
-    if (cache && cache->active())
-        service.attachCache(cache);
+    service.attachStores(stores);
     service.setKeys(pointKeys(task, count));
-    if (task.seed) {
-        std::vector<std::uint64_t> seeds(count);
-        for (std::size_t i = 0; i < count; ++i)
-            seeds[i] = task.seed(i);
-        service.setSeeds(std::move(seeds));
-    }
 
     CampaignRun run;
     run.report = service.run(count);
@@ -116,7 +86,6 @@ runServed(const harness::CampaignOptions& opts, std::size_t count,
         for (std::size_t i = 0; i < count; ++i) {
             harness::PointRecord& r = run.report.points[i];
             if (r.outcome != harness::PointOutcome::Ok &&
-                r.outcome != harness::PointOutcome::Journaled &&
                 r.outcome != harness::PointOutcome::Cached)
                 r.repro = task.repro(i);
         }
@@ -129,23 +98,28 @@ runServed(const harness::CampaignOptions& opts, std::size_t count,
 CampaignRun
 runCampaignPoints(const harness::CampaignOptions& opts,
                   std::size_t count, const harness::PointTask& task,
-                  harness::CampaignJournal* journal,
+                  ResultCache* journal,
                   const std::string& campaignName)
 {
     if (!opts.workerAddr.empty())
         panic("runCampaignPoints called in worker mode; dispatch to "
               "runCampaignWorker first");
 
+    ResultCache ownJournal;
+    if (!journal && !opts.journalPath.empty()) {
+        ownJournal.open(opts.journalPath, /*required=*/true);
+        journal = &ownJournal;
+    }
     ResultCache cache;
     if (!opts.cacheDir.empty())
         cache.open(opts.cacheDir); // warns and stays inactive on failure
+    CampaignStores stores(journal, opts.resume, &cache);
 
     CampaignRun run =
         opts.serveAddr.empty()
-            ? runLocal(opts, count, task, journal, &cache)
-            : runServed(opts, count, task, journal, &cache,
-                        campaignName);
-    run.cache = cache.stats();
+            ? runLocal(opts, count, task, &stores)
+            : runServed(opts, count, task, &stores, campaignName);
+    run.cache = stores.stats();
     return run;
 }
 

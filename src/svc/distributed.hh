@@ -4,8 +4,8 @@
  * entry point that executes a campaign's point space under whichever
  * mode the command line selected — the local CampaignSupervisor
  * (default), the work-queue daemon (--serve), or a worker process
- * (--worker) — with the content-addressed result cache (--cache)
- * fronting both local and served execution.
+ * (--worker) — with the result stores (--journal, --cache) fronting
+ * both local and served execution.
  *
  * The contract that makes `--distributed` a thin client: for the same
  * point space and flags, runCampaignPoints returns the same results
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "harness/campaign_cli.hh"
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "svc/result_cache.hh"
 
@@ -47,19 +46,26 @@ struct CampaignRun
     std::vector<std::string> results; ///< artifacts by point index
     std::string serviceSummary; ///< `"kind": "service"` line ("" local)
     std::string ledgerJsonl;    ///< crash-ledger manifest lines
-    CacheStats cache;           ///< zeros when --cache is off
+    /** Store accounting (CampaignStores::stats); zeros without
+     *  --journal and --cache. */
+    CacheStats cache;
 };
 
 /**
  * Execute @p count points of @p task under the mode selected by
  * @p opts (local supervisor, or daemon when opts.serveAddr is set).
+ * Points resolve from the result stores first (CampaignStores): the
+ * `--journal` store — @p journal, or when null the store at
+ * opts.journalPath, where an unusable path is fatal — and the
+ * `--cache` store at opts.cacheDir, which degrades to uncached. A
+ * served `--resume` is a daemon restart: CampaignService ledgers it.
  * Must not be called in worker mode — dispatch to runCampaignWorker
  * first.
  */
 CampaignRun runCampaignPoints(const harness::CampaignOptions& opts,
                               std::size_t count,
                               const harness::PointTask& task,
-                              harness::CampaignJournal* journal,
+                              ResultCache* journal,
                               const std::string& campaignName);
 
 /**

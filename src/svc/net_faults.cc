@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 
 #include "fault/fault_spec.hh"
-#include "harness/campaign_journal.hh"
 #include "harness/posix_io.hh"
 #include "sim/logging.hh"
 

@@ -9,7 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "harness/campaign_journal.hh"
+#include "harness/posix_io.hh"
 #include "sim/logging.hh"
 
 namespace tb {
@@ -28,19 +28,25 @@ keyName(std::uint64_t key)
 } // namespace
 
 bool
-ResultCache::open(const std::string& dir)
+ResultCache::open(const std::string& dir, bool required)
 {
     dir_.clear();
     if (dir.empty())
         return false;
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-        warn("result cache: cannot create ", dir, ": ",
-             errnoMessage(errno), " — running uncached");
-        return false;
-    }
-    if (::access(dir.c_str(), W_OK | X_OK) != 0) {
-        warn("result cache: ", dir, " is not writable: ",
-             errnoMessage(errno), " — running uncached");
+    std::string problem;
+    struct stat st;
+    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
+        problem = "cannot create it: " + errnoMessage(errno);
+    else if (::stat(dir.c_str(), &st) != 0)
+        problem = "cannot stat it: " + errnoMessage(errno);
+    else if (!S_ISDIR(st.st_mode))
+        problem = "not a directory";
+    else if (::access(dir.c_str(), W_OK | X_OK) != 0)
+        problem = "not writable: " + errnoMessage(errno);
+    if (!problem.empty()) {
+        if (required)
+            fatal("result store ", dir, ": ", problem);
+        warn("result cache ", dir, ": ", problem, " — running uncached");
         return false;
     }
     dir_ = dir;
@@ -127,6 +133,54 @@ ResultCache::store(std::uint64_t key, const std::string& result)
                   harness::fnv1a64(result));
     harness::writeFileAtomic(entryPath(key), header + result);
     ++stats_.stores;
+}
+
+CampaignStores::CampaignStores(ResultCache* journal, bool resume,
+                               ResultCache* cache)
+    : journal_(journal && journal->active() ? journal : nullptr),
+      cache_(cache && cache->active() ? cache : nullptr),
+      resume_(resume)
+{}
+
+bool
+CampaignStores::lookup(std::uint64_t key, std::string* result)
+{
+    if (!resuming() && !cache_)
+        return false; // nothing readable: a write-only --journal
+    if (resuming() && journal_->lookup(key, result)) {
+        ++stats_.hits;
+        if (cache_)
+            cache_->store(key, *result);
+        return true;
+    }
+    if (cache_ && cache_->lookup(key, result)) {
+        ++stats_.hits;
+        if (journal_)
+            journal_->store(key, *result);
+        return true;
+    }
+    ++stats_.misses;
+    return false;
+}
+
+void
+CampaignStores::store(std::uint64_t key, const std::string& result)
+{
+    if (journal_)
+        journal_->store(key, result);
+    if (cache_)
+        cache_->store(key, result);
+    if (any())
+        ++stats_.stores;
+}
+
+CacheStats
+CampaignStores::stats() const
+{
+    CacheStats s = stats_;
+    s.evictions = (journal_ ? journal_->stats().evictions : 0) +
+                  (cache_ ? cache_->stats().evictions : 0);
+    return s;
 }
 
 } // namespace svc

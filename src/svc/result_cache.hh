@@ -1,15 +1,16 @@
 /**
  * @file
- * Content-addressed result cache for campaign sweep points.
+ * Content-addressed result store for campaign sweep points: the only
+ * persistent state of a campaign.
  *
- * A campaign point is fully determined by its config hash — the same
- * FNV-1a key the CampaignJournal records (sweep shape, flags,
- * workload knobs, seed). The cache maps that key to the point's
- * serialized artifact on disk, so a repeated point — across
- * campaigns, across daemon restarts, across machines sharing a
- * filesystem — is a cache hit instead of a re-simulation. Million-
- * point sweeps stay tractable exactly to the extent repeated points
- * become hits.
+ * A campaign point is fully determined by its config hash
+ * (PointTask::keyOf: sweep shape, flags, workload knobs, seed). The
+ * store maps that key to the point's serialized artifact on disk, so
+ * a repeated point — across campaigns, across interrupted and resumed
+ * runs, across daemon restarts, across machines sharing a filesystem
+ * — is a hit instead of a re-simulation. Both `--cache DIR` and
+ * `--journal DIR` are stores in this format; CampaignStores below
+ * says when each is read and written.
  *
  * Layout: one file per key, `<dir>/<%016x key>.tbr`, containing a
  * `TBCACHE1 <%016x fnv1a-checksum>` header line followed by the
@@ -17,9 +18,9 @@
  * re-verifies the checksum: a corrupted entry (torn write, bit rot,
  * truncation) is *evicted* — unlinked and counted — and reported as
  * a miss, so corruption costs one re-simulation, never a wrong
- * artifact. Unlike the journal (scoped to one campaign file, indexed
- * by point number), the cache is keyed purely by content hash and
- * shared by everything.
+ * artifact. Concurrent writers of one key each publish a whole entry
+ * (writeFileAtomic uses a temp name per writer); the last rename
+ * wins.
  */
 
 #ifndef TB_SVC_RESULT_CACHE_HH_
@@ -49,11 +50,13 @@ class ResultCache
 {
   public:
     /**
-     * Attach to @p dir, creating it (one level) if missing. Returns
-     * false — cache disabled, campaign proceeds uncached — when the
-     * directory cannot be created or is not writable.
+     * Attach to @p dir, creating it (one level) if missing. When the
+     * directory cannot be created, is not a directory or is not
+     * writable, returns false with a warning — cache disabled,
+     * campaign proceeds uncached — or, with @p required, throws
+     * FatalError naming @p dir.
      */
-    bool open(const std::string& dir);
+    bool open(const std::string& dir, bool required = false);
 
     bool active() const { return !dir_.empty(); }
     const std::string& dir() const { return dir_; }
@@ -75,6 +78,44 @@ class ResultCache
 
   private:
     std::string dir_;
+    CacheStats stats_;
+};
+
+/**
+ * The stores one campaign consults: the `--journal` store, read only
+ * on `--resume`, and the `--cache` store, always read. Either may be
+ * null or inactive. Every completed point is written to both, and a
+ * hit in one is copied into the other, so each store alone can
+ * answer a later run. With one store configured each lookup and
+ * store touches only that store. Not thread-safe.
+ */
+class CampaignStores
+{
+  public:
+    CampaignStores(ResultCache* journal, bool resume, ResultCache* cache);
+
+    /** Any active store, and whether the journal store is read. */
+    bool any() const { return journal_ || cache_; }
+    bool resuming() const { return journal_ && resume_; }
+
+    /** Look @p key up: the journal store when resuming, then the
+     *  cache store. */
+    bool lookup(std::uint64_t key, std::string* result);
+
+    /** Store a completed point in every active store. */
+    void store(std::uint64_t key, const std::string& result);
+
+    /**
+     * Per-point accounting: a hit is a point served by either store,
+     * a miss one that neither had, stores counts completed points
+     * stored; evictions sum both stores'.
+     */
+    CacheStats stats() const;
+
+  private:
+    ResultCache* journal_ = nullptr; ///< active --journal store
+    ResultCache* cache_ = nullptr;   ///< active --cache store
+    bool resume_ = false;
     CacheStats stats_;
 };
 

@@ -6,22 +6,27 @@
  * its fingerprint. Accepted artifacts are concatenated in point order
  * to stdout (or --out); the service summary goes to stdout, the
  * failure manifest and crash ledger to stderr (or --manifest).
+ * --journal DIR is a result store every accepted point lands in;
+ * with --resume the daemon restarts from it, leasing only the points
+ * it lacks.
  *
- *   tb_campaignd --listen ADDR --count N [--journal FILE [--resume]]
+ *   tb_campaignd --listen ADDR --count N [--journal DIR [--resume]]
  *                [--cache DIR] [--lease-ms N] [--heartbeat-ms N]
  *                [--retries N] [--backoff-ms N] [--name S]
  *                [--out FILE] [--manifest FILE]
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
+#include "harness/posix_io.hh"
 #include "sim/logging.hh"
 #include "svc/campaignd.hh"
 #include "svc/net.hh"
@@ -36,7 +41,7 @@ usage(const char* complaint)
         stderr,
         "tb_campaignd: %s\n"
         "usage: tb_campaignd --listen ADDR --count N\n"
-        "       [--journal FILE [--resume]] [--cache DIR]\n"
+        "       [--journal DIR [--resume]] [--cache DIR]\n"
         "       [--lease-ms N] [--heartbeat-ms N] [--retries N]\n"
         "       [--backoff-ms N] [--name S] [--out FILE] "
         "[--manifest FILE]\n",
@@ -47,9 +52,10 @@ usage(const char* complaint)
 std::uint64_t
 parseU64(const char* opt, const char* text)
 {
+    errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' ||
+    if (end == text || *end != '\0' || errno == ERANGE ||
         std::strchr(text, '-') != nullptr) {
         std::string msg = std::string("option ") + opt + ": '" +
                           text + "' is not a non-negative integer";
@@ -96,9 +102,12 @@ main(int argc, char** argv)
             so.queue.leaseMs = parseU64("--lease-ms", value());
         else if (opt == "--heartbeat-ms")
             so.heartbeatMs = parseU64("--heartbeat-ms", value());
-        else if (opt == "--retries")
-            so.queue.maxAttempts = 1 + static_cast<unsigned>(
-                parseU64("--retries", value()));
+        else if (opt == "--retries") {
+            const std::uint64_t n = parseU64("--retries", value());
+            if (n >= std::numeric_limits<unsigned>::max())
+                usage("option --retries: out of range");
+            so.queue.maxAttempts = 1 + static_cast<unsigned>(n);
+        }
         else if (opt == "--backoff-ms")
             so.queue.backoffBaseMs = parseU64("--backoff-ms", value());
         else if (opt == "--name")
@@ -116,33 +125,22 @@ main(int argc, char** argv)
     if (count == 0)
         usage("--count must be >= 1");
     if (resume && journalPath.empty())
-        usage("--resume requires --journal FILE");
+        usage("--resume requires --journal DIR");
     if (so.heartbeatMs == 0)
         usage("--heartbeat-ms must be >= 1");
 
     try {
-        harness::CampaignJournal journal;
+        svc::ResultCache journal;
         if (!journalPath.empty())
-            journal.open(journalPath, resume);
+            journal.open(journalPath, /*required=*/true);
         svc::ResultCache cache;
         if (!cacheDir.empty())
             cache.open(cacheDir);
+        svc::CampaignStores stores(&journal, resume, &cache);
 
         harness::CampaignSupervisor::installSigintHandler();
         svc::CampaignService service(so);
-        svc::ServiceJournal svcJournal;
-        if (journal.active()) {
-            service.attachJournal(&journal);
-            // Scheduling durability rides alongside the completion
-            // journal (<journal>.svc): with --resume a SIGKILLed
-            // daemon restarts with leases, attempt counts and backoff
-            // state intact (docs/ROBUSTNESS.md, "Daemon crash
-            // recovery").
-            svcJournal.open(journalPath + ".svc", resume);
-            service.attachServiceJournal(&svcJournal);
-        }
-        if (cache.active())
-            service.attachCache(&cache);
+        service.attachStores(&stores);
 
         const harness::SupervisorReport report = service.run(count);
 

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/campaign_journal.hh"
+#include "harness/posix_io.hh"
 #include "sim/logging.hh"
 #include "svc/net.hh"
 #include "svc/worker.hh"

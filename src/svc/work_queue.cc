@@ -38,20 +38,6 @@ WorkQueue::resolveStored(std::size_t i, harness::PointOutcome how,
     --unresolved_;
 }
 
-void
-WorkQueue::restore(std::size_t i, unsigned attempts,
-                   std::uint64_t notBeforeMs)
-{
-    if (i >= points_.size())
-        return;
-    Point& p = points_[i];
-    if (p.state != Point::State::Pending)
-        return;
-    if (attempts > p.attempts)
-        p.attempts = attempts;
-    p.notBeforeMs = notBeforeMs;
-}
-
 LeaseGrant
 WorkQueue::lease(std::uint64_t worker, std::uint64_t nowMs)
 {

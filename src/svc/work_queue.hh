@@ -90,26 +90,13 @@ class WorkQueue
     WorkQueue(std::size_t count, const QueuePolicy& policy);
 
     /**
-     * Resolve point @p i without work (journal replay / cache hit).
-     * @p key and @p checksum record the replayed artifact's identity
-     * so a late duplicate submission from a reconnecting worker is
-     * classified DuplicateMatch, not a determinism violation.
+     * Resolve point @p i without work (result-store hit). @p key and
+     * @p checksum record the replayed artifact's identity so a late
+     * duplicate submission from a reconnecting worker is classified
+     * DuplicateMatch, not a determinism violation.
      */
     void resolveStored(std::size_t i, harness::PointOutcome how,
                        std::uint64_t key, std::uint64_t checksum);
-
-    /**
-     * Reconstruct the pre-crash scheduling state of point @p i during
-     * a `--serve --resume` daemon restart: re-arm with @p attempts
-     * already consumed and gate re-leasing behind @p notBeforeMs.
-     * Only a Pending point (one the completion journal did not
-     * resolve) is touched. Deliberately never restores Failed: a
-     * point at budget gets one more attempt after a daemon crash
-     * instead of trusting the tail of a torn journal for a terminal
-     * verdict.
-     */
-    void restore(std::size_t i, unsigned attempts,
-                 std::uint64_t notBeforeMs);
 
     /**
      * Try to lease the lowest eligible point to @p worker. When

@@ -9,7 +9,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "harness/posix_io.hh"
 #include "sim/logging.hh"
@@ -86,7 +85,7 @@ int
 CampaignWorker::handshake(std::uint64_t waitMs, std::string* err)
 {
     // Retry the connect while the daemon starts up (binds its socket,
-    // replays its journal): workers and daemon are normally launched
+    // resolves stored points): workers and daemon are normally launched
     // together, and a bounded retry here beats sleeps in every
     // launcher script.
     const std::uint64_t stepMs = 100;

@@ -7,7 +7,7 @@
  * A worker is deliberately stateless about the campaign: it knows the
  * point space (count + per-point config hashes) and how to execute a
  * point; everything else — what to run next, retry budgets, whether
- * the work already exists in the journal or cache — lives in the
+ * the work already exists in a result store — lives in the
  * daemon. That is what makes a SIGKILLed worker free: it held only
  * leases, and leases come back.
  *
@@ -42,7 +42,7 @@ struct WorkerOptions
     std::vector<std::uint64_t> keys; ///< per-point config hashes
     /// How long to keep retrying the initial connect. Workers are
     /// typically launched alongside the daemon; this absorbs the
-    /// daemon's startup (journal replay, cache scan) without the
+    /// daemon's startup (result-store lookups) without the
     /// launcher needing sleeps.
     std::uint64_t connectWaitMs = 5000;
     /// Budget for transparent reconnection after losing an

@@ -7,8 +7,9 @@
  * Covers: multi-worker completion with artifacts identical to a
  * serial run, lease reassignment after a worker dies mid-lease,
  * heartbeat-loss detection, fingerprint rejection of a mismatched
- * worker, the crash ledger, and warm-cache daemon runs resolving
- * without a single lease.
+ * worker, the crash ledger, warm-cache daemon runs resolving without
+ * a single lease, and a resumed daemon leasing only what its result
+ * store lacks.
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +23,12 @@
 
 #include <unistd.h>
 
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "harness/posix_io.hh"
 #include "svc/campaignd.hh"
 #include "svc/frame.hh"
 #include "svc/net.hh"
 #include "svc/result_cache.hh"
-#include "svc/service_journal.hh"
 #include "svc/worker.hh"
 
 namespace tb {
@@ -403,7 +402,8 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
         ASSERT_TRUE(cache.open(cacheDir));
         for (std::uint64_t k : testKeys(kCount))
             std::remove(cache.entryPath(k).c_str());
-        service.attachCache(&cache);
+        svc::CampaignStores stores(nullptr, false, &cache);
+        service.attachStores(&stores);
         harness::SupervisorReport report;
         std::thread daemon([&]() { report = service.run(kCount); });
         CampaignWorker w(workerOpts(addr, kCount, "filler"));
@@ -424,7 +424,8 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
     service.setKeys(testKeys(kCount));
     svc::ResultCache cache;
     ASSERT_TRUE(cache.open(cacheDir));
-    service.attachCache(&cache);
+    svc::CampaignStores stores(nullptr, false, &cache);
+    service.attachStores(&stores);
     const harness::SupervisorReport report = service.run(kCount);
 
     EXPECT_TRUE(report.ok());
@@ -435,19 +436,29 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
         EXPECT_EQ(service.results()[i], artifactOf(i));
 }
 
+/**
+ * Open the `--journal` store at @p name under the test temp dir,
+ * holding exactly the artifacts of @p stored points.
+ */
+void
+openJournalStore(svc::ResultCache* journal, const std::string& name,
+                 const std::vector<std::uint64_t>& keys,
+                 const std::vector<std::size_t>& stored)
+{
+    ASSERT_TRUE(journal->open(testing::TempDir() + name,
+                              /*required=*/true));
+    for (std::uint64_t k : keys)
+        std::remove(journal->entryPath(k).c_str());
+    for (std::size_t i : stored)
+        journal->store(keys[i], artifactOf(i));
+}
+
 TEST(Distributed, JournalResolvesPointsBeforeWorkers)
 {
     const std::size_t kCount = 3;
-    const std::string journalPath =
-        testing::TempDir() + "tb_dist_journal.jsonl";
-    std::remove(journalPath.c_str());
     const auto keys = testKeys(kCount);
-
-    {
-        harness::CampaignJournal j;
-        j.open(journalPath, /*resume=*/false);
-        j.record(1, keys[1], 0, artifactOf(1));
-    }
+    svc::ResultCache journal;
+    openJournalStore(&journal, "tb_dist_journal", keys, {1});
 
     const std::string addr = socketAddr("journal");
     ServiceOptions so;
@@ -455,9 +466,8 @@ TEST(Distributed, JournalResolvesPointsBeforeWorkers)
     so.campaign = "dist-test";
     CampaignService service(so);
     service.setKeys(keys);
-    harness::CampaignJournal j;
-    j.open(journalPath, /*resume=*/true);
-    service.attachJournal(&j);
+    svc::CampaignStores stores(&journal, /*resume=*/true, nullptr);
+    service.attachStores(&stores);
 
     harness::SupervisorReport report;
     std::thread daemon([&]() { report = service.run(kCount); });
@@ -474,13 +484,17 @@ TEST(Distributed, JournalResolvesPointsBeforeWorkers)
     daemon.join();
 
     EXPECT_TRUE(report.ok());
-    EXPECT_EQ(report.count(PointOutcome::Journaled), 1u);
+    EXPECT_EQ(report.count(PointOutcome::Cached), 1u);
     EXPECT_EQ(report.count(PointOutcome::Ok), 2u);
-    EXPECT_EQ(executed, 2) << "the journaled point never reruns";
-    EXPECT_EQ(service.stats().journalHits, 1u);
-    for (std::size_t i = 0; i < kCount; ++i)
+    EXPECT_EQ(executed, 2) << "the stored point never reruns";
+    EXPECT_EQ(service.stats().cacheHits, 1u);
+    for (std::size_t i = 0; i < kCount; ++i) {
         EXPECT_EQ(service.results()[i], artifactOf(i));
-    std::remove(journalPath.c_str());
+        // Every accepted point landed in the store.
+        std::string stored;
+        ASSERT_TRUE(journal.lookup(keys[i], &stored)) << "point " << i;
+        EXPECT_EQ(stored, artifactOf(i));
+    }
 }
 
 TEST(Distributed, PointErrorsExhaustBudgetIntoManifest)
@@ -630,83 +644,61 @@ TEST(Distributed, WorkerReconnectsAndResubmitsAfterDaemonLoss)
 }
 
 /**
- * The daemon half of crash recovery: a service journal written by a
- * "dead" incarnation (a lease outstanding on attempt 3, one point
- * completed) is resumed by a fresh daemon, which restores the
- * scheduling state — attempt counts intact, completed work replayed,
- * the restart ledgered — and finishes the campaign with a new worker.
+ * The daemon half of crash recovery: the result store is the only
+ * state a dead daemon leaves behind. A daemon restarted with
+ * `--resume` resolves the stored points, leases every other point
+ * afresh — each starts at attempt 1, so even a one-attempt budget
+ * finishes — and ledgers the restart exactly once.
  */
-TEST(Distributed, DaemonResumeRestoresSchedulingState)
+TEST(Distributed, ServedResumeLeasesOnlyUnstoredPoints)
 {
-    const std::size_t kCount = 3;
+    const std::size_t kCount = 4;
     const auto keys = testKeys(kCount);
-    const std::string journalPath =
-        testing::TempDir() + "tb_dist_resume.jsonl";
-    const std::string svcPath = journalPath + ".svc";
-    std::remove(journalPath.c_str());
-    std::remove(svcPath.c_str());
-
-    // The dead incarnation's journals: point 1 completed (result in
-    // the completion journal, done event in the service journal);
-    // point 0 lost twice and leased out on attempt 3 at the kill.
-    {
-        harness::CampaignJournal j;
-        j.open(journalPath, /*resume=*/false);
-        j.record(1, keys[1], 0, artifactOf(1));
-    }
-    {
-        svc::ServiceJournal sj;
-        sj.open(svcPath, /*resume=*/false);
-        sj.recordCampaign(svc::fingerprintKeys(keys), kCount);
-        sj.recordLease(0, 1, "w-old");
-        sj.recordLoss(0, 1, "disconnect");
-        sj.recordLease(0, 2, "w-old");
-        sj.recordLoss(0, 2, "heartbeat-timeout");
-        sj.recordLease(0, 3, "w-old");
-        sj.recordLease(1, 1, "w-old");
-        sj.recordDone(1);
-    }
+    svc::ResultCache journal;
+    openJournalStore(&journal, "tb_dist_resume", keys, {1, 3});
 
     const std::string addr = socketAddr("svc_resume");
     ServiceOptions so;
     so.listen = addr;
     so.campaign = "dist-test";
-    so.queue.maxAttempts = 9;
-    so.queue.backoffBaseMs = 1;
-    so.queue.backoffCapMs = 4;
+    so.queue.maxAttempts = 1;
     CampaignService service(so);
     service.setKeys(keys);
-    harness::CampaignJournal j;
-    j.open(journalPath, /*resume=*/true);
-    service.attachJournal(&j);
-    svc::ServiceJournal sj;
-    sj.open(svcPath, /*resume=*/true);
-    service.attachServiceJournal(&sj);
+    svc::CampaignStores stores(&journal, /*resume=*/true, nullptr);
+    service.attachStores(&stores);
 
     harness::SupervisorReport report;
     std::thread daemon([&]() { report = service.run(kCount); });
+    std::vector<std::size_t> executed;
     CampaignWorker w(workerOpts(addr, kCount, "w-new"));
     std::string err;
-    ASSERT_TRUE(w.run(artifactOf, &err)) << err;
+    ASSERT_TRUE(w.run(
+        [&](std::size_t i) {
+            executed.push_back(i);
+            return artifactOf(i);
+        },
+        &err))
+        << err;
     daemon.join();
 
     EXPECT_TRUE(report.ok());
-    EXPECT_EQ(report.count(PointOutcome::Journaled), 1u);
+    EXPECT_EQ(report.count(PointOutcome::Cached), 2u);
     EXPECT_EQ(report.count(PointOutcome::Ok), 2u);
-    // Point 0 carries its pre-crash history: restored at 3 attempts,
-    // +1 for the post-restart lease that completed it.
-    EXPECT_EQ(report.points[0].attempts, 4u);
+    EXPECT_EQ(executed, (std::vector<std::size_t>{0, 2}))
+        << "only points missing from the store are leased";
+    EXPECT_EQ(service.stats().leases, 2u);
+    EXPECT_EQ(report.points[0].attempts, 1u);
     EXPECT_EQ(report.points[2].attempts, 1u);
     for (std::size_t i = 0; i < kCount; ++i)
         EXPECT_EQ(service.results()[i], artifactOf(i));
 
-    // The restart itself lands in the crash ledger, so the manifest
-    // records that this campaign crossed a daemon death.
-    std::ostringstream jsonl;
-    service.ledger().writeJsonl(jsonl, "dist-test");
-    EXPECT_NE(jsonl.str().find("daemon-restart"), std::string::npos);
-    std::remove(journalPath.c_str());
-    std::remove(svcPath.c_str());
+    // The restart is ledgered once, so the manifest records that this
+    // campaign crossed a daemon death.
+    EXPECT_EQ(service.ledger().size(), 1u);
+    ASSERT_EQ(service.ledger().count("daemon-restart"), 1u);
+    EXPECT_EQ(service.ledger().events()[0].detail,
+              "resumed from the result store: 2 of 4 point(s) stored, "
+              "2 to re-lease");
 }
 
 /**

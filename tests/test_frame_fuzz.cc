@@ -21,7 +21,6 @@
 
 #include <unistd.h>
 
-#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "harness/posix_io.hh"
 #include "sim/random.hh"

@@ -198,7 +198,7 @@ TEST(WorkQueue, LeasedByAndHeartbeatTrackOwnership)
 TEST(WorkQueue, ResolveStoredSkipsTheQueue)
 {
     WorkQueue q(3, policyWith(1));
-    q.resolveStored(0, PointOutcome::Journaled, 0xaa, 0xbb);
+    q.resolveStored(0, PointOutcome::Cached, 0xaa, 0xbb);
     q.resolveStored(2, PointOutcome::Cached, 0xcc, 0xdd);
 
     const LeaseGrant g = q.lease(1, 0);
@@ -207,7 +207,7 @@ TEST(WorkQueue, ResolveStoredSkipsTheQueue)
     ASSERT_EQ(q.complete(1, 1, 1, 1), CompleteOutcome::Accepted);
     EXPECT_TRUE(q.allResolved());
 
-    // A reconnecting worker resubmitting a journal-resolved point is
+    // A reconnecting worker resubmitting a store-resolved point is
     // classified against the recorded identity, not rejected as a
     // determinism violation.
     EXPECT_EQ(q.complete(0, 9, 0xaa, 0xbb),
@@ -217,8 +217,7 @@ TEST(WorkQueue, ResolveStoredSkipsTheQueue)
 
     harness::SupervisorReport r;
     q.fillReport(&r);
-    EXPECT_EQ(r.count(PointOutcome::Journaled), 1u);
-    EXPECT_EQ(r.count(PointOutcome::Cached), 1u);
+    EXPECT_EQ(r.count(PointOutcome::Cached), 2u);
     EXPECT_EQ(r.count(PointOutcome::Ok), 1u);
     EXPECT_TRUE(r.ok());
 }

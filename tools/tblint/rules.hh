@@ -5,7 +5,7 @@
  *
  * The load-bearing property of this repo is that simulation artifacts
  * are byte-identical across serial runs, `--jobs N` campaigns and
- * journal resume. CI enforces that dynamically by diffing artifacts;
+ * resumed runs. CI enforces that dynamically by diffing artifacts;
  * these rules catch the bug classes that break it *before* they run:
  *
  *   TBL000  suppression hygiene: a tblint-allow directive must name

@@ -19,7 +19,7 @@
 #include <string>
 
 #include "fault/fault_spec.hh"
-#include "harness/campaign_journal.hh"
+#include "harness/posix_io.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "obs/stat_writers.hh"
