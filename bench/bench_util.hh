@@ -18,7 +18,6 @@
 #include "harness/experiment.hh"
 #include "harness/obs_capture.hh"
 #include "harness/result_serde.hh"
-#include "harness/parallel_runner.hh"
 #include "harness/report.hh"
 #include "obs/json_writer.hh"
 #include "svc/distributed.hh"
@@ -35,42 +34,6 @@ figureConfigs()
             harness::ConfigKind::ThriftyHalt,
             harness::ConfigKind::OracleHalt,
             harness::ConfigKind::Thrifty, harness::ConfigKind::Ideal};
-}
-
-/** Run every figure configuration of @p app on @p sys. */
-inline std::vector<harness::ExperimentResult>
-runAllConfigs(const harness::SystemConfig& sys,
-              const workloads::AppProfile& app)
-{
-    std::vector<harness::ExperimentResult> out;
-    for (harness::ConfigKind k : figureConfigs())
-        out.push_back(harness::runExperiment(sys, app, k));
-    return out;
-}
-
-/**
- * Run the full (app x configuration) matrix, sharding the independent
- * simulations across @p jobs host threads. Results come back grouped
- * per app in figure order — identical to looping runAllConfigs over
- * the apps serially, regardless of jobs.
- */
-inline std::vector<std::vector<harness::ExperimentResult>>
-runAppConfigMatrix(const harness::SystemConfig& sys,
-                   const std::vector<workloads::AppProfile>& apps,
-                   unsigned jobs)
-{
-    const std::vector<harness::ConfigKind> kinds = figureConfigs();
-    std::vector<std::vector<harness::ExperimentResult>> groups(
-        apps.size());
-    for (auto& g : groups)
-        g.resize(kinds.size());
-    const harness::ParallelCampaignRunner runner(jobs);
-    runner.run(apps.size() * kinds.size(), [&](std::size_t i) {
-        const std::size_t a = i / kinds.size();
-        const std::size_t k = i % kinds.size();
-        groups[a][k] = harness::runExperiment(sys, apps[a], kinds[k]);
-    });
-    return groups;
 }
 
 /**
@@ -133,18 +96,18 @@ matrixPointTask(const harness::SystemConfig& sys,
 }
 
 /**
- * Supervised variant of runAppConfigMatrix for the figure campaigns:
- * the same (app x configuration) point space run under whatever
- * execution mode the command line selected — the local
+ * Run the (app x configuration) matrix of the figure campaigns under
+ * whatever execution mode the command line selected — the local
  * CampaignSupervisor by default, the distributed work-queue daemon
  * with --serve (docs/ROBUSTNESS.md, "Distributed campaigns") — with
  * each point's full ExperimentResult serialized losslessly so it
  * survives --isolate's process boundary, the result store's disk
- * boundary and the daemon's socket boundary alike. @p groups is filled exactly
- * like runAppConfigMatrix for every resolved point; consult the
- * returned run's report before rendering — failed points leave
- * default-constructed entries. A non-null @p capture records each
- * in-process point's trace and stats (--trace / --stats-json).
+ * boundary and the daemon's socket boundary alike. @p groups comes
+ * back grouped per app in figure order (B, H, O, T, I) for every
+ * resolved point, whatever --jobs; consult the returned run's report
+ * before rendering — failed points leave default-constructed
+ * entries. A non-null @p capture records each in-process point's
+ * trace and stats (--trace / --stats-json).
  */
 inline svc::CampaignRun
 runAppConfigMatrixSupervised(

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
 namespace tb {
 namespace harness {
@@ -32,31 +32,43 @@ usage(const char* prog, const char* complaint, bool allowQuick)
 }
 
 std::uint64_t
-parseU64(const char* prog, const char* opt, const char* text,
-         bool allowQuick, std::uint64_t max = UINT64_MAX)
+optionU64(const char* prog, const char* opt, const char* text,
+          bool allowQuick, std::uint64_t max = UINT64_MAX)
 {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        std::strchr(text, '-') != nullptr) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "option %s: '%s' is not a non-negative integer",
-                      opt, text);
-        usage(prog, buf, allowQuick);
-    }
-    if (v > max) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "option %s: %s is out of range [0, %llu]", opt,
-                      text, static_cast<unsigned long long>(max));
-        usage(prog, buf, allowQuick);
-    }
+    std::uint64_t v = 0;
+    std::string err;
+    if (!parseU64(text, max, &v, &err))
+        usage(prog, ("option " + std::string(opt) + ": " + err).c_str(),
+              allowQuick);
     return v;
 }
 
 } // namespace
+
+bool
+parseU64(const char* text, std::uint64_t max, std::uint64_t* out,
+         std::string* err)
+{
+    // strtoull alone would take a sign, leading space and (base 0) an
+    // octal or hex prefix; only plain digits reach it here.
+    bool digits = *text != '\0';
+    for (const char* c = text; *c != '\0'; ++c)
+        digits = digits && *c >= '0' && *c <= '9';
+    if (!digits) {
+        *err = std::string(1, '\'') + text +
+               "' is not a non-negative decimal integer";
+        return false;
+    }
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, nullptr, 10);
+    if (errno == ERANGE || v > max) {
+        *err = std::string(text) + " is out of range [0, " +
+               std::to_string(max) + "]";
+        return false;
+    }
+    *out = v;
+    return true;
+}
 
 CampaignOptions
 CampaignOptions::parse(int argc, char** argv, bool allowQuick)
@@ -90,12 +102,12 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         };
 
         if (opt == "--jobs") {
-            o.policy.jobs = static_cast<unsigned>(parseU64(
+            o.policy.jobs = static_cast<unsigned>(optionU64(
                 prog, "--jobs", value(i), allowQuick, UINT_MAX));
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
         } else if (opt == "--sim-threads") {
-            o.simThreads = static_cast<unsigned>(parseU64(
+            o.simThreads = static_cast<unsigned>(optionU64(
                 prog, "--sim-threads", value(i), allowQuick, UINT_MAX));
             if (o.simThreads == 0) {
                 usage(prog, "option --sim-threads: must be >= 1",
@@ -103,24 +115,24 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             }
         } else if (opt == "--sim-partitions") {
             o.simPartitions = static_cast<unsigned>(
-                parseU64(prog, "--sim-partitions", value(i),
-                         allowQuick, UINT_MAX));
+                optionU64(prog, "--sim-partitions", value(i),
+                          allowQuick, UINT_MAX));
             if (o.simPartitions == 0) {
                 usage(prog, "option --sim-partitions: must be >= 1",
                       allowQuick);
             }
         } else if (opt == "--deadline-ms") {
-            o.policy.deadlineMs =
-                parseU64(prog, "--deadline-ms", value(i), allowQuick);
+            o.policy.deadlineMs = optionU64(
+                prog, "--deadline-ms", value(i), allowQuick, kMaxOptionMs);
         } else if (opt == "--retries") {
             // 1 + N attempts must fit.
             o.policy.maxAttempts =
-                1 + static_cast<unsigned>(parseU64(
+                1 + static_cast<unsigned>(optionU64(
                         prog, "--retries", value(i), allowQuick,
                         UINT_MAX - 1u));
         } else if (opt == "--backoff-ms") {
-            o.policy.backoffBaseMs =
-                parseU64(prog, "--backoff-ms", value(i), allowQuick);
+            o.policy.backoffBaseMs = optionU64(
+                prog, "--backoff-ms", value(i), allowQuick, kMaxOptionMs);
         } else if (opt == "--isolate") {
             o.policy.isolate = true;
         } else if (opt == "--journal") {
@@ -132,7 +144,7 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         } else if (opt == "--manifest") {
             o.manifestPath = value(i);
         } else if (opt == "--only-point") {
-            o.onlyPoint = static_cast<long>(parseU64(
+            o.onlyPoint = static_cast<long>(optionU64(
                 prog, "--only-point", value(i), allowQuick, LONG_MAX));
         } else if (opt == "--trace") {
             // FILE[:categories] — the first ':' splits the two.
@@ -176,11 +188,11 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 usage(prog, "option --cache needs a directory",
                       allowQuick);
         } else if (opt == "--lease-ms") {
-            o.leaseMs =
-                parseU64(prog, "--lease-ms", value(i), allowQuick);
+            o.leaseMs = optionU64(prog, "--lease-ms", value(i),
+                                  allowQuick, kMaxOptionMs);
         } else if (opt == "--heartbeat-ms") {
-            o.heartbeatMs = parseU64(prog, "--heartbeat-ms", value(i),
-                                     allowQuick);
+            o.heartbeatMs = optionU64(prog, "--heartbeat-ms", value(i),
+                                      allowQuick, kMaxOptionMs);
             if (o.heartbeatMs == 0) {
                 usage(prog, "option --heartbeat-ms: must be >= 1",
                       allowQuick);
@@ -194,8 +206,8 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                       allowQuick);
             }
         } else if (opt == "--reconnect-ms") {
-            o.reconnectMs =
-                parseU64(prog, "--reconnect-ms", value(i), allowQuick);
+            o.reconnectMs = optionU64(prog, "--reconnect-ms", value(i),
+                                      allowQuick, kMaxOptionMs);
         } else if (opt == "--quick" && allowQuick) {
             o.quick = true;
         } else {

@@ -5,7 +5,9 @@
  * Every campaign binary (figure5_energy, figure6_time,
  * robustness_faults, robustness_seeds) accepts the same supervisor
  * surface, parsed strictly — a malformed value prints a usage error
- * and exits 2, never a silent fallback:
+ * and exits 2, never a silent fallback; numbers are plain decimal
+ * (parseU64) and every *-ms option is capped at kMaxOptionMs (one
+ * week):
  *
  *   --jobs N          shard points over N worker threads
  *   --sim-threads N   PDES worker threads inside each simulation
@@ -55,6 +57,7 @@
 #ifndef TB_HARNESS_CAMPAIGN_CLI_HH_
 #define TB_HARNESS_CAMPAIGN_CLI_HH_
 
+#include <cstdint>
 #include <string>
 
 #include "harness/campaign_supervisor.hh"
@@ -62,6 +65,26 @@
 
 namespace tb {
 namespace harness {
+
+/**
+ * Strict decimal parse of one whole number in [0, @p max]: ASCII
+ * digits only — no sign, no base prefix (`010` is ten, `0x10` is an
+ * error), no surrounding space. Every integer option of thrifty_sim
+ * and the campaign binaries goes through it, each bounded by the type
+ * it lands in. On failure returns false with a diagnostic in @p err
+ * and leaves @p out alone.
+ */
+bool parseU64(const char* text, std::uint64_t max, std::uint64_t* out,
+              std::string* err);
+
+/**
+ * Ceiling of every millisecond campaign option (--deadline-ms,
+ * --lease-ms, --heartbeat-ms, --reconnect-ms, --backoff-ms): one
+ * week. Anything larger would overflow the deadline arithmetic
+ * (std::chrono::milliseconds, now + lease) instead of meaning
+ * "forever", so it is a usage error.
+ */
+constexpr std::uint64_t kMaxOptionMs = 7ull * 24 * 60 * 60 * 1000;
 
 /** Parsed campaign command line. */
 struct CampaignOptions
@@ -107,12 +130,6 @@ struct CampaignOptions
     std::string netFaultsSpec;
     /** Worker reconnect budget after daemon loss (--reconnect-ms). */
     std::uint64_t reconnectMs = 5000;
-
-    /** Any distributed role selected (--serve / --worker). */
-    bool distributed() const
-    {
-        return !serveAddr.empty() || !workerAddr.empty();
-    }
 
     /**
      * Parse @p argv strictly. Unknown options, malformed or

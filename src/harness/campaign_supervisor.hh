@@ -3,11 +3,12 @@
  * Campaign supervisor: production-job-runner semantics for sweep
  * campaigns.
  *
- * ParallelCampaignRunner shards independent points across threads but
- * treats every point as infallible: the first exception aborts the
- * campaign, a hung point blocks it forever, and a crashing point kills
- * the process. The supervisor wraps the same claim-from-a-counter
- * execution model with the machinery a long campaign actually needs:
+ * Every campaign point is independent: it builds its own Machine from
+ * its (config, seed), so points shard across --jobs worker threads
+ * that claim indices from a shared counter, and results are deposited
+ * by index so the artifact is byte-identical at any job count. Around
+ * that execution model the supervisor adds the machinery a long
+ * campaign needs:
  *
  *  - a per-point wall-clock **deadline** enforced by a watchdog, so a
  *    hung point is classified and the campaign moves on;
@@ -236,6 +237,9 @@ class CampaignSupervisor
     SupervisorPolicy policy_;
     std::function<bool(std::uint64_t, std::string*)> cacheLookup_;
     std::function<void(std::uint64_t, const std::string&)> cacheStore_;
+    /// Sized before the workers start, then written without mu_:
+    /// slot i (like the report's points[i]) belongs to the one worker
+    /// that claimed index i.
     std::vector<std::string> results_;
     Mutex mu_;
     /// Timed-out attempt threads, kept alive until process exit.

@@ -6,11 +6,6 @@
 #include "harness/parallel_sim.hh"
 
 #include <bit>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "harness/machine.hh"
 
@@ -87,63 +82,6 @@ runMachinePdes(Machine& machine, unsigned threads)
     report.finalTick = machine.finalize();
     report.engine = engine.stats();
     return report;
-}
-
-namespace {
-
-/**
- * Shared strict scan for one `--<name> N` / `--<name>=N` integer
- * option: rejects anything that is not one whole integer >= 1 with a
- * usage message and exit 2; returns @p absent when the option never
- * appears.
- */
-unsigned
-parsePositiveIntArg(int argc, char** argv, const char* name,
-                    unsigned absent)
-{
-    const std::string flag = std::string("--") + name;
-    const std::string flag_eq = flag + "=";
-    const auto usage = [&](const char* text) {
-        std::fprintf(stderr,
-                     "%s: %s: '%s' is not a positive "
-                     "integer\nusage: %s [%s N]\n",
-                     argv[0], flag.c_str(), text, argv[0],
-                     flag.c_str());
-        std::exit(2);
-    };
-    unsigned value = absent;
-    for (int i = 1; i < argc; ++i) {
-        const char* text = nullptr;
-        if (flag == argv[i] && i + 1 < argc)
-            text = argv[++i];
-        else if (std::strncmp(argv[i], flag_eq.c_str(),
-                              flag_eq.size()) == 0)
-            text = argv[i] + flag_eq.size();
-        if (!text)
-            continue;
-        // Strict: `--sim-threads 4x` must not silently serialize.
-        errno = 0;
-        char* end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || errno == ERANGE || v < 1)
-            usage(text);
-        value = static_cast<unsigned>(v);
-    }
-    return value;
-}
-
-} // namespace
-
-unsigned
-parseSimThreadsArg(int argc, char** argv)
-{
-    return parsePositiveIntArg(argc, argv, "sim-threads", 1);
-}
-
-unsigned
-parseSimPartitionsArg(int argc, char** argv)
-{
-    return parsePositiveIntArg(argc, argv, "sim-partitions", 0);
 }
 
 } // namespace harness

@@ -66,25 +66,6 @@ struct PdesRunReport
  */
 PdesRunReport runMachinePdes(Machine& machine, unsigned threads);
 
-/**
- * Strict --sim-threads option scan, same contract as
- * ParallelCampaignRunner::parseJobsArg: accepts `--sim-threads N` and
- * `--sim-threads=N`, rejects anything that is not one whole integer
- * >= 1 with a usage message and exit 2, and returns 1 when the option
- * is absent.
- */
-unsigned parseSimThreadsArg(int argc, char** argv);
-
-/**
- * Strict --sim-partitions option scan, same parsing contract as
- * parseSimThreadsArg (N >= 1, exit 2 on malformed input). Returns 0
- * when the option is absent, meaning "pick the default for the node
- * count" (harness/experiment.cc). The value must be a power of two
- * dividing the machine's node count — the Machine constructor
- * enforces that, since only it knows the node count.
- */
-unsigned parseSimPartitionsArg(int argc, char** argv);
-
 } // namespace harness
 } // namespace tb
 

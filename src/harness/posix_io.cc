@@ -112,20 +112,6 @@ acceptOne(int listenFd)
     }
 }
 
-bool
-readToEof(int fd, std::string* out)
-{
-    char buf[4096];
-    for (;;) {
-        const ssize_t r = readSome(fd, buf, sizeof(buf));
-        if (r < 0)
-            return false;
-        if (r == 0)
-            return true;
-        out->append(buf, static_cast<std::size_t>(r));
-    }
-}
-
 std::uint64_t
 fnv1a64(const std::string& data)
 {

@@ -88,9 +88,6 @@ int pollMany(struct pollfd* fds, std::size_t n, int timeoutMs);
  */
 int acceptOne(int listenFd);
 
-/** Drain @p fd to @p out until EOF (EINTR-safe); false on error. */
-bool readToEof(int fd, std::string* out);
-
 /** FNV-1a 64-bit hash of @p data (point keys, artifact checksums). */
 std::uint64_t fnv1a64(const std::string& data);
 

@@ -73,13 +73,13 @@ fingerprintKeys(const std::vector<std::uint64_t>& keys)
     return harness::fnv1a64(bytes);
 }
 
-CampaignService::CampaignService(ServiceOptions opts)
-    : opts_(std::move(opts))
+CampaignService::CampaignService(ServiceOptions opts,
+                                 std::vector<std::uint64_t> keys)
+    : opts_(std::move(opts)), keys_(std::move(keys)),
+      fingerprint_(fingerprintKeys(keys_))
 {
     handlers_[FrameType::Hello] =
         [this](Connection* c, const Frame& f) { onHello(c, f); };
-    handlers_[FrameType::Keys] =
-        [this](Connection* c, const Frame& f) { onKeys(c, f); };
     handlers_[FrameType::LeaseRequest] =
         [this](Connection* c, const Frame& f) {
             onLeaseRequest(c, f);
@@ -106,14 +106,6 @@ CampaignService::~CampaignService()
     }
 }
 
-void
-CampaignService::setKeys(std::vector<std::uint64_t> keys)
-{
-    keys_ = std::move(keys);
-    haveKeys_ = true;
-    fingerprint_ = fingerprintKeys(keys_);
-}
-
 std::uint64_t
 CampaignService::nowMs() const
 {
@@ -130,7 +122,7 @@ CampaignService::nowMs() const
 void
 CampaignService::preResolveStored()
 {
-    if (!haveKeys_ || !stores_ || !stores_->any())
+    if (!stores_ || !stores_->any())
         return;
     std::size_t stored = 0;
     for (std::size_t i = 0; i < keys_.size(); ++i) {
@@ -242,7 +234,7 @@ CampaignService::onHello(Connection* conn, const Frame& f)
         reject = "point count mismatch: daemon serves " +
                  std::to_string(queue_->size()) +
                  " points, worker built for " + std::to_string(count);
-    } else if (haveKeys_ && fp != fingerprint_) {
+    } else if (fp != fingerprint_) {
         reject = "config fingerprint mismatch: daemon " +
                  std::to_string(fingerprint_) + ", worker " +
                  std::to_string(fp) +
@@ -259,23 +251,6 @@ CampaignService::onHello(Connection* conn, const Frame& f)
         closeConnection(conn, LeaseLoss::ProtocolError, reject);
         return;
     }
-    if (!haveKeys_ && fingerprint_ == 0) {
-        // Generic mode: first worker defines the fingerprint; its
-        // Keys upload fills the table. Later workers must match.
-        fingerprint_ = fp;
-    } else if (!haveKeys_ && fp != fingerprint_) {
-        const std::string msg =
-            "config fingerprint mismatch against first worker";
-        ++stats_.protocolErrors;
-        ledger_.add(conn->workerId, conn->label(), "protocol-error",
-                    -1, msg);
-        std::string p;
-        appendString(&p, msg);
-        send(conn, FrameType::Reject, p);
-        conn->closing = true;
-        closeConnection(conn, LeaseLoss::ProtocolError, msg);
-        return;
-    }
     if (queue_->allResolved()) {
         // Late arrival while run() lingers: nothing left to lease.
         send(conn, FrameType::Done, "");
@@ -287,40 +262,7 @@ CampaignService::onHello(Connection* conn, const Frame& f)
     appendU64(&p, conn->workerId);
     appendU64(&p, opts_.heartbeatMs);
     appendU64(&p, opts_.queue.leaseMs);
-    appendU64(&p, haveKeys_ ? 0 : kHelloAckWantKeys);
     send(conn, FrameType::HelloAck, p);
-}
-
-void
-CampaignService::onKeys(Connection* conn, const Frame& f)
-{
-    if (haveKeys_)
-        return; // table already known; fingerprint was checked
-    if (f.payload.size() != 8 * queue_->size()) {
-        ++stats_.protocolErrors;
-        ledger_.add(conn->workerId, conn->label(), "protocol-error",
-                    -1, "keys frame has wrong length");
-        conn->closing = true;
-        closeConnection(conn, LeaseLoss::ProtocolError,
-                        "keys frame has wrong length");
-        return;
-    }
-    PayloadReader r(f.payload);
-    std::vector<std::uint64_t> keys(queue_->size());
-    for (std::uint64_t& k : keys)
-        k = r.u64();
-    if (fingerprintKeys(keys) != fingerprint_) {
-        ++stats_.protocolErrors;
-        ledger_.add(conn->workerId, conn->label(), "protocol-error",
-                    -1, "keys do not match hello fingerprint");
-        conn->closing = true;
-        closeConnection(conn, LeaseLoss::ProtocolError,
-                        "keys do not match hello fingerprint");
-        return;
-    }
-    keys_ = std::move(keys);
-    haveKeys_ = true;
-    preResolveStored();
 }
 
 void
@@ -378,7 +320,7 @@ CampaignService::onResult(Connection* conn, const Frame& f)
     std::string problem;
     if (harness::fnv1a64(artifact) != checksum)
         problem = "result checksum does not match artifact";
-    else if (haveKeys_ && keys_[i] != key)
+    else if (keys_[i] != key)
         problem = "result config hash does not match the point key";
     if (!problem.empty()) {
         ++stats_.protocolErrors;
@@ -607,14 +549,11 @@ CampaignService::broadcastDone()
 }
 
 harness::SupervisorReport
-CampaignService::run(std::size_t count)
+CampaignService::run()
 {
     harness::ignoreSigpipe();
-    queue_ = std::make_unique<WorkQueue>(count, opts_.queue);
-    results_.assign(count, std::string());
-    if (haveKeys_ && keys_.size() != count)
-        fatal("campaign service: ", keys_.size(),
-              " keys for ", count, " points");
+    queue_ = std::make_unique<WorkQueue>(keys_.size(), opts_.queue);
+    results_.assign(keys_.size(), std::string());
     preResolveStored();
 
     std::string err;

@@ -102,7 +102,14 @@ std::uint64_t fingerprintKeys(const std::vector<std::uint64_t>& keys);
 class CampaignService
 {
   public:
-    explicit CampaignService(ServiceOptions opts);
+    /**
+     * Serve the campaign whose point i has config hash @p keys[i]:
+     * the stores resolve points before any worker connects, a
+     * worker's Hello must match the table's fingerprint and every
+     * result must carry its point's key.
+     */
+    CampaignService(ServiceOptions opts,
+                    std::vector<std::uint64_t> keys);
     ~CampaignService();
 
     CampaignService(const CampaignService&) = delete;
@@ -117,22 +124,13 @@ class CampaignService
     void attachStores(CampaignStores* stores) { stores_ = stores; }
 
     /**
-     * Per-point config hashes. When set (the campaign-binary --serve
-     * mode), the stores resolve points before any worker connects
-     * and worker-reported keys are verified against the table. When
-     * absent (generic tb_campaignd), the table is uploaded by the
-     * first worker's Keys frame.
+     * Serve every point until each is Done or Failed (or SIGINT),
+     * then linger briefly answering late Hellos with Done, then close
+     * and unlink the listener. Never throws for worker failures —
+     * they are ledgered and retried. Throws FatalError only when the
+     * listen address is unusable.
      */
-    void setKeys(std::vector<std::uint64_t> keys);
-
-    /**
-     * Serve all @p count points until each is Done or Failed (or
-     * SIGINT), then linger briefly answering late Hellos with Done,
-     * then close and unlink the listener. Never
-     * throws for worker failures — they are ledgered and retried.
-     * Throws FatalError only when the listen address is unusable.
-     */
-    harness::SupervisorReport run(std::size_t count);
+    harness::SupervisorReport run();
 
     /** Artifacts by point index ("" for failed/not-run points). */
     const std::vector<std::string>& results() const
@@ -162,7 +160,6 @@ class CampaignService
 
     // Frame handlers (the per-type demux table, mp_endpoint-style).
     void onHello(Connection* conn, const Frame& f);
-    void onKeys(Connection* conn, const Frame& f);
     void onLeaseRequest(Connection* conn, const Frame& f);
     void onHeartbeat(Connection* conn, const Frame& f);
     void onResult(Connection* conn, const Frame& f);
@@ -171,9 +168,8 @@ class CampaignService
 
     ServiceOptions opts_;
     CampaignStores* stores_ = nullptr;
-    std::vector<std::uint64_t> keys_;
-    bool haveKeys_ = false;
-    std::uint64_t fingerprint_ = 0;
+    const std::vector<std::uint64_t> keys_;
+    const std::uint64_t fingerprint_;
 
     int listenFd_ = -1;
     std::unique_ptr<WorkQueue> queue_;

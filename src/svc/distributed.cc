@@ -66,12 +66,11 @@ runServed(const harness::CampaignOptions& opts, std::size_t count,
     so.queue.leaseMs = opts.leaseMs;
     so.queue.seed = opts.policy.seed;
 
-    CampaignService service(so);
+    CampaignService service(so, pointKeys(task, count));
     service.attachStores(stores);
-    service.setKeys(pointKeys(task, count));
 
     CampaignRun run;
-    run.report = service.run(count);
+    run.report = service.run();
     run.results = service.results();
     run.serviceSummary = service.stats().summaryJson(campaignName);
     if (!service.ledger().empty()) {

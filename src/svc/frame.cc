@@ -84,7 +84,6 @@ frameTypeName(FrameType t)
       case FrameType::Result:       return "result";
       case FrameType::PointError:   return "point-error";
       case FrameType::Goodbye:      return "goodbye";
-      case FrameType::Keys:         return "keys";
       case FrameType::HelloAck:     return "hello-ack";
       case FrameType::LeaseGrant:   return "lease-grant";
       case FrameType::NoWork:       return "no-work";

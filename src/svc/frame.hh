@@ -53,21 +53,15 @@ enum class FrameType : std::uint16_t
     Result = 4,       ///< u64 point, u64 key, u64 checksum, str artifact
     PointError = 5,   ///< u64 point, u64 outcome, str message
     Goodbye = 6,      ///< str reason
-    Keys = 7,         ///< count x u64 point config hashes (on request)
 
     // daemon -> worker
-    HelloAck = 32,   ///< u64 workerId, u64 heartbeatMs, u64 leaseMs,
-                     ///< u64 flags (kHelloAckWantKeys)
+    HelloAck = 32,   ///< u64 workerId, u64 heartbeatMs, u64 leaseMs
     LeaseGrant = 33, ///< u64 point, u64 attempt
     NoWork = 34,     ///< u64 retryAfterMs (all leased / backing off)
     Done = 35,       ///< (empty) campaign complete, worker may exit
     ResultAck = 36,  ///< u64 point
     Reject = 37,     ///< str reason (protocol error; connection closes)
 };
-
-/** HelloAck flag: daemon has no key table (generic tb_campaignd) and
- *  asks the worker to upload its per-point config hashes. */
-constexpr std::uint64_t kHelloAckWantKeys = 1;
 
 /** Human-readable frame-type name (diagnostics, crash ledger). */
 const char* frameTypeName(FrameType t);

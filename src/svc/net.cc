@@ -114,18 +114,6 @@ tcpSocket(const std::string& addr, bool listen_side,
 
 } // namespace
 
-bool
-validServiceAddress(const std::string& addr)
-{
-    if (hasPrefix(addr, kUnixPrefix))
-        return addr.size() > std::strlen(kUnixPrefix);
-    if (hasPrefix(addr, kTcpPrefix)) {
-        std::string host, port, err;
-        return splitTcp(addr, &host, &port, &err);
-    }
-    return false;
-}
-
 int
 listenOn(const std::string& addr, std::string* err)
 {

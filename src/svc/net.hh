@@ -21,9 +21,6 @@
 namespace tb {
 namespace svc {
 
-/** Whether @p addr parses as a supported service address. */
-bool validServiceAddress(const std::string& addr);
-
 /**
  * Bind + listen on @p addr. A pre-existing Unix socket path is
  * unlinked first (stale socket of a dead daemon). Returns the

@@ -149,25 +149,13 @@ CampaignWorker::handshake(std::uint64_t waitMs, std::string* err)
     workerId_ = r.u64();
     heartbeatMs_ = r.u64();
     r.u64(); // leaseMs: informational
-    const std::uint64_t flags = r.u64();
-    if (!r.ok()) {
+    if (!r.exhausted()) {
         *err = "malformed hello-ack";
         dropConnection();
         return -1;
     }
     if (heartbeatMs_ == 0)
         heartbeatMs_ = 1000;
-    if (flags & kHelloAckWantKeys) {
-        std::string keys;
-        keys.reserve(8 * opts_.keys.size());
-        for (std::uint64_t k : opts_.keys)
-            appendU64(&keys, k);
-        if (!sendFrame(fd_, FrameType::Keys, keys)) {
-            *err = "keys upload: " + errnoMessage(errno);
-            dropConnection();
-            return peerGone(errno) ? 0 : -1;
-        }
-    }
     return 1;
 }
 

@@ -2,11 +2,14 @@
  * @file
  * Campaign command-line tests: numeric flags that would not fit their
  * field are usage errors (exit 2), never a silent wrap — a wrapped
- * `--retries` once ran zero attempts per point and reported PASS.
+ * `--retries` once ran zero attempts per point and reported PASS —
+ * and the shared parser reads plain decimal only.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,6 +65,73 @@ TEST(CampaignCliDeathTest, SimPartitionsOutOfRangeIsAUsageError)
     EXPECT_EXIT(parseArgs({"--sim-partitions", "4294967296"}),
                 testing::ExitedWithCode(2),
                 "--sim-partitions.*out of range");
+}
+
+TEST(CampaignCliDeathTest, MillisecondsOutOfRangeIsAUsageError)
+{
+    // A u64 of milliseconds overflows std::chrono::milliseconds and
+    // now + lease; --deadline-ms 2^64-1 once timed out every point at
+    // once. One week is accepted, a millisecond more is not.
+    const std::string week = std::to_string(harness::kMaxOptionMs);
+    const std::string past = std::to_string(harness::kMaxOptionMs + 1);
+    EXPECT_EQ(parseArgs({"--deadline-ms", week}).policy.deadlineMs,
+              harness::kMaxOptionMs);
+    EXPECT_EQ(parseArgs({"--backoff-ms", week}).policy.backoffBaseMs,
+              harness::kMaxOptionMs);
+    EXPECT_EQ(parseArgs({"--lease-ms", week}).leaseMs,
+              harness::kMaxOptionMs);
+    EXPECT_EQ(parseArgs({"--heartbeat-ms", week}).heartbeatMs,
+              harness::kMaxOptionMs);
+    EXPECT_EQ(parseArgs({"--reconnect-ms", week}).reconnectMs,
+              harness::kMaxOptionMs);
+    EXPECT_EXIT(parseArgs({"--deadline-ms", "18446744073709551615"}),
+                testing::ExitedWithCode(2),
+                "--deadline-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--deadline-ms", past}),
+                testing::ExitedWithCode(2),
+                "--deadline-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--backoff-ms", past}),
+                testing::ExitedWithCode(2), "--backoff-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--lease-ms", past}),
+                testing::ExitedWithCode(2), "--lease-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--heartbeat-ms=" + past}),
+                testing::ExitedWithCode(2),
+                "--heartbeat-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--reconnect-ms", past}),
+                testing::ExitedWithCode(2),
+                "--reconnect-ms.*out of range");
+}
+
+TEST(CampaignCli, ParseU64IsStrictDecimal)
+{
+    std::uint64_t v = 0;
+    std::string err;
+    // A leading zero is not an octal prefix.
+    ASSERT_TRUE(harness::parseU64("010", UINT64_MAX, &v, &err)) << err;
+    EXPECT_EQ(v, 10u);
+    ASSERT_TRUE(harness::parseU64("0", 0, &v, &err)) << err;
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(harness::parseU64("18446744073709551615", UINT64_MAX,
+                                  &v, &err))
+        << err;
+    EXPECT_EQ(v, UINT64_MAX);
+
+    // Everything else is rejected, and the output is left alone.
+    v = 7;
+    for (const char* bad : {"", "0x10", "+5", "-1", " 5", "5 ", "4x",
+                            "1e3", "18446744073709551616"}) {
+        EXPECT_FALSE(harness::parseU64(bad, UINT64_MAX, &v, &err))
+            << "'" << bad << "'";
+        EXPECT_EQ(v, 7u) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(harness::parseU64("4294967298", UINT_MAX, &v, &err));
+    EXPECT_NE(err.find("out of range [0, 4294967295]"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(harness::parseU64("abc", UINT64_MAX, &v, &err));
+    EXPECT_NE(err.find("not a non-negative decimal integer"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * CampaignSupervisor tests: deterministic retry/backoff sequencing,
  * continue-on-error outcome classification, timeout classification of
  * a deliberately hung point, forked-crash containment under isolate
- * mode, and the failure manifest / counter surfaces.
+ * mode, the failure manifest / counter surfaces, and byte-identical
+ * artifacts of real experiments at any --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +15,20 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "harness/campaign_supervisor.hh"
+#include "harness/experiment.hh"
+#include "harness/result_serde.hh"
 #include "sim/logging.hh"
+#include "workloads/app_profile.hh"
 
 namespace tb {
 namespace {
@@ -334,6 +340,56 @@ TEST(Supervisor, ZeroPointsIsANoop)
     const SupervisorReport r = sup.run(0, task);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.points.size(), 0u);
+}
+
+/**
+ * The determinism contract end to end: real experiments sharded over
+ * four supervisor workers must produce artifacts byte-identical to a
+ * serial run. Each point builds its own Machine from (dim, seed), so
+ * nothing is shared between workers; the supervisor deposits the
+ * serialized results by index.
+ */
+TEST(Supervisor, ExperimentCampaignMatchesSerialByteForByte)
+{
+    workloads::AppProfile app = workloads::appByName("Radiosity");
+    app.iterations = 3;
+
+    struct Point
+    {
+        unsigned dim;
+        std::uint64_t seed;
+    };
+    std::vector<Point> points;
+    for (unsigned dim = 1; dim <= 2; ++dim)
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            points.push_back({dim, seed});
+
+    PointTask task;
+    task.run = [&](std::size_t i) {
+        harness::SystemConfig sys =
+            harness::SystemConfig::small(points[i].dim);
+        sys.seed = points[i].seed;
+        return harness::serializeResult(harness::runExperiment(
+            sys, app, harness::ConfigKind::Thrifty));
+    };
+    const auto campaign = [&](unsigned jobs) {
+        SupervisorPolicy policy;
+        policy.jobs = jobs;
+        CampaignSupervisor sup(policy);
+        const SupervisorReport r = sup.run(points.size(), task);
+        EXPECT_TRUE(r.ok());
+        EXPECT_EQ(r.count(PointOutcome::Ok), points.size());
+        return sup.results();
+    };
+
+    const std::vector<std::string> serial = campaign(1);
+    const std::vector<std::string> parallel = campaign(4);
+    ASSERT_EQ(serial.size(), points.size());
+    ASSERT_EQ(parallel.size(), points.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_FALSE(serial[i].empty()) << "point " << i;
+        EXPECT_EQ(serial[i], parallel[i]) << "point " << i;
+    }
 }
 
 } // namespace

@@ -138,12 +138,11 @@ TEST(Distributed, WorkersCompleteCampaignIdenticallyToSerial)
     so.campaign = "dist-test";
     so.queue.maxAttempts = 1;
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
 
     harness::SupervisorReport report;
     std::thread daemon(
-        [&]() { report = service.run(kCount); });
+        [&]() { report = service.run(); });
 
     const auto workerMain = [&](const std::string& name) {
         CampaignWorker w(workerOpts(addr, kCount, name));
@@ -192,10 +191,9 @@ TEST(Distributed, WorkerConnectingAfterCampaignEndsFailsInBoundedTime)
     so.listen = addr;
     so.campaign = "dist-test";
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
     {
         CampaignWorker w(workerOpts(addr, kCount, "first"));
         std::string err;
@@ -227,10 +225,9 @@ TEST(Distributed, WorkerConnectingDuringLingerIsToldDone)
     so.listen = addr;
     so.campaign = "dist-test";
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
     {
         CampaignWorker w(workerOpts(addr, kCount, "first"));
         std::string err;
@@ -277,10 +274,9 @@ TEST(Distributed, DeadWorkerLeaseReassigned)
     so.queue.maxAttempts = 2; // one retry for the lost lease
     so.queue.backoffBaseMs = 1;
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     // A worker takes a lease and dies (socket closes abruptly): the
     // in-process stand-in for SIGKILL.
@@ -328,10 +324,9 @@ TEST(Distributed, SilentWorkerDeclaredDeadByHeartbeat)
     so.queue.maxAttempts = 2;
     so.queue.backoffBaseMs = 1;
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     // Lease a point, then go silent with the socket still open — a
     // worker wedged inside a simulation.
@@ -362,10 +357,9 @@ TEST(Distributed, MismatchedFingerprintRejected)
     so.listen = addr;
     so.campaign = "dist-test";
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     // A worker built from a different sweep (wrong count and keys)
     // must be turned away at Hello, before it can lease anything.
@@ -395,8 +389,7 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
         ServiceOptions so;
         so.listen = addr;
         so.campaign = "dist-test";
-        CampaignService service(so);
-        service.setKeys(testKeys(kCount));
+        CampaignService service(so, testKeys(kCount));
         svc::ResultCache cache;
         // Wipe stale entries so the cold run is genuinely cold.
         ASSERT_TRUE(cache.open(cacheDir));
@@ -405,7 +398,7 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
         svc::CampaignStores stores(nullptr, false, &cache);
         service.attachStores(&stores);
         harness::SupervisorReport report;
-        std::thread daemon([&]() { report = service.run(kCount); });
+        std::thread daemon([&]() { report = service.run(); });
         CampaignWorker w(workerOpts(addr, kCount, "filler"));
         std::string err;
         ASSERT_TRUE(w.run(artifactOf, &err)) << err;
@@ -420,13 +413,12 @@ TEST(Distributed, WarmCacheRunNeedsNoWorkers)
     ServiceOptions so;
     so.listen = addr;
     so.campaign = "dist-test";
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     svc::ResultCache cache;
     ASSERT_TRUE(cache.open(cacheDir));
     svc::CampaignStores stores(nullptr, false, &cache);
     service.attachStores(&stores);
-    const harness::SupervisorReport report = service.run(kCount);
+    const harness::SupervisorReport report = service.run();
 
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.count(PointOutcome::Cached), kCount);
@@ -464,13 +456,12 @@ TEST(Distributed, JournalResolvesPointsBeforeWorkers)
     ServiceOptions so;
     so.listen = addr;
     so.campaign = "dist-test";
-    CampaignService service(so);
-    service.setKeys(keys);
+    CampaignService service(so, keys);
     svc::CampaignStores stores(&journal, /*resume=*/true, nullptr);
     service.attachStores(&stores);
 
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
     int executed = 0;
     CampaignWorker w(workerOpts(addr, kCount, "w"));
     std::string err;
@@ -507,10 +498,9 @@ TEST(Distributed, PointErrorsExhaustBudgetIntoManifest)
     so.queue.maxAttempts = 2;
     so.queue.backoffBaseMs = 1;
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     CampaignWorker w(workerOpts(addr, kCount, "w"));
     std::string err;
@@ -585,7 +575,6 @@ TEST(Distributed, WorkerReconnectsAndResubmitsAfterDaemonLoss)
         svc::appendU64(&p, workerId);
         svc::appendU64(&p, 50); // heartbeatMs
         svc::appendU64(&p, 0);  // leaseMs
-        svc::appendU64(&p, 0);  // flags: keys not wanted
         ASSERT_TRUE(svc::sendFrame(fd, FrameType::HelloAck, p));
     };
 
@@ -644,6 +633,47 @@ TEST(Distributed, WorkerReconnectsAndResubmitsAfterDaemonLoss)
 }
 
 /**
+ * A HelloAck is exactly three words. A daemon from a build whose ack
+ * carried a fourth (the old key-upload flags) is another protocol, so
+ * the worker fails the handshake instead of leasing from it.
+ */
+TEST(Distributed, WorkerRejectsHelloAckWithTrailingWords)
+{
+    const std::size_t kCount = 1;
+    const std::string addr = socketAddr("ack_shape");
+    std::string lerr;
+    const int lfd = svc::listenOn(addr, &lerr);
+    ASSERT_GE(lfd, 0) << lerr;
+
+    CampaignWorker w(workerOpts(addr, kCount, "strict"));
+    std::string werr;
+    bool ok = true;
+    std::thread worker([&]() { ok = w.run(artifactOf, &werr); });
+
+    const int fd = harness::acceptOne(lfd);
+    ASSERT_GE(fd, 0);
+    Frame hello;
+    std::string err;
+    EXPECT_EQ(svc::recvFrame(fd, &hello, &err), 1) << err;
+    EXPECT_EQ(hello.type, FrameType::Hello);
+    std::string p;
+    svc::appendU64(&p, 7);  // workerId
+    svc::appendU64(&p, 50); // heartbeatMs
+    svc::appendU64(&p, 0);  // leaseMs
+    svc::appendU64(&p, 1);  // a fourth word this protocol lacks
+    ASSERT_TRUE(svc::sendFrame(fd, FrameType::HelloAck, p));
+    ::close(fd);
+    worker.join();
+    ::close(lfd);
+    svc::cleanupAddress(addr);
+
+    EXPECT_FALSE(ok);
+    EXPECT_NE(werr.find("malformed hello-ack"), std::string::npos)
+        << werr;
+    EXPECT_EQ(w.stats().leases, 0u);
+}
+
+/**
  * The daemon half of crash recovery: the result store is the only
  * state a dead daemon leaves behind. A daemon restarted with
  * `--resume` resolves the stored points, leases every other point
@@ -662,13 +692,12 @@ TEST(Distributed, ServedResumeLeasesOnlyUnstoredPoints)
     so.listen = addr;
     so.campaign = "dist-test";
     so.queue.maxAttempts = 1;
-    CampaignService service(so);
-    service.setKeys(keys);
+    CampaignService service(so, keys);
     svc::CampaignStores stores(&journal, /*resume=*/true, nullptr);
     service.attachStores(&stores);
 
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
     std::vector<std::size_t> executed;
     CampaignWorker w(workerOpts(addr, kCount, "w-new"));
     std::string err;
@@ -716,10 +745,9 @@ TEST(Distributed, TornFramesCompleteCampaignIdentically)
     so.campaign = "dist-test";
     so.queue.maxAttempts = 1;
 
-    CampaignService service(so);
-    service.setKeys(testKeys(kCount));
+    CampaignService service(so, testKeys(kCount));
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     WorkerOptions wo = workerOpts(addr, kCount, "chaos");
     wo.netFaults.seed = 11;

@@ -65,10 +65,9 @@ randomValidWire(tb::Random& rng)
         FrameType::Hello,      FrameType::LeaseRequest,
         FrameType::Heartbeat,  FrameType::Result,
         FrameType::PointError, FrameType::Goodbye,
-        FrameType::Keys,       FrameType::HelloAck,
-        FrameType::LeaseGrant, FrameType::NoWork,
-        FrameType::Done,       FrameType::ResultAck,
-        FrameType::Reject,
+        FrameType::HelloAck,   FrameType::LeaseGrant,
+        FrameType::NoWork,     FrameType::Done,
+        FrameType::ResultAck,  FrameType::Reject,
     };
     const FrameType t =
         kTypes[rng.uniformInt(sizeof(kTypes) / sizeof(kTypes[0]))];
@@ -263,11 +262,10 @@ TEST(FrameFuzz, DaemonSurvivesFuzzClientsAndCompletes)
     so.heartbeatMs = 50; // reap half-frame fuzz connections fast
     so.queue.maxAttempts = 3;
     so.queue.backoffBaseMs = 1;
-    svc::CampaignService service(so);
-    service.setKeys(keys);
+    svc::CampaignService service(so, keys);
 
     harness::SupervisorReport report;
-    std::thread daemon([&]() { report = service.run(kCount); });
+    std::thread daemon([&]() { report = service.run(); });
 
     const auto fuzzClient = [&](std::uint64_t seed) {
         tb::Random rng(seed);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of the multi-threaded single-simulation driver
- * (harness/parallel_sim.hh): the --sim-threads option scan, the
- * PdesRunReport bookkeeping and — the contract that matters — real
- * experiments whose serialized results are byte-identical at any
- * worker thread count. The engine itself is covered by test_pdes.cc.
+ * (harness/parallel_sim.hh): the PdesRunReport bookkeeping and — the
+ * contract that matters — real experiments whose serialized results
+ * are byte-identical at any worker thread count. The engine itself is
+ * covered by test_pdes.cc.
  */
 
 #include <gtest/gtest.h>
@@ -22,75 +22,6 @@
 namespace tb {
 namespace harness {
 namespace {
-
-TEST(ParallelSim, ParseSimThreadsArg)
-{
-    const char* none[] = {"prog"};
-    const char* pair[] = {"prog", "--sim-threads", "4"};
-    const char* eq[] = {"prog", "--sim-threads=8"};
-    const char* mixed[] = {"prog", "--quick", "--sim-threads", "2"};
-    auto parse = [](const char** argv, int argc) {
-        return parseSimThreadsArg(argc, const_cast<char**>(argv));
-    };
-    EXPECT_EQ(parse(none, 1), 1u);
-    EXPECT_EQ(parse(pair, 3), 4u);
-    EXPECT_EQ(parse(eq, 2), 8u);
-    EXPECT_EQ(parse(mixed, 4), 2u);
-}
-
-TEST(ParallelSimDeathTest, ParseSimThreadsArgRejectsMalformed)
-{
-    // Same contract as --jobs: `--sim-threads 4x` must be a usage
-    // error (exit 2), never a silent fallback to the serial engine.
-    auto parse = [](const char** argv, int argc) {
-        parseSimThreadsArg(argc, const_cast<char**>(argv));
-    };
-    const char* garbage[] = {"prog", "--sim-threads", "garbage"};
-    const char* trailing[] = {"prog", "--sim-threads", "4x"};
-    const char* zero[] = {"prog", "--sim-threads=0"};
-    const char* neg[] = {"prog", "--sim-threads=-2"};
-    const char* empty[] = {"prog", "--sim-threads="};
-    EXPECT_EXIT(parse(garbage, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(trailing, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(zero, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(neg, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(empty, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-}
-
-TEST(ParallelSim, ParseSimPartitionsArg)
-{
-    // Absent means 0 — "pick the default plan for the node count" —
-    // which is distinct from an explicit --sim-partitions 1.
-    const char* none[] = {"prog"};
-    const char* pair[] = {"prog", "--sim-partitions", "8"};
-    const char* eq[] = {"prog", "--sim-partitions=4"};
-    const char* one[] = {"prog", "--sim-partitions", "1"};
-    auto parse = [](const char** argv, int argc) {
-        return parseSimPartitionsArg(argc, const_cast<char**>(argv));
-    };
-    EXPECT_EQ(parse(none, 1), 0u);
-    EXPECT_EQ(parse(pair, 3), 8u);
-    EXPECT_EQ(parse(eq, 2), 4u);
-    EXPECT_EQ(parse(one, 3), 1u);
-}
-
-TEST(ParallelSimDeathTest, ParseSimPartitionsArgRejectsMalformed)
-{
-    auto parse = [](const char** argv, int argc) {
-        parseSimPartitionsArg(argc, const_cast<char**>(argv));
-    };
-    const char* zero[] = {"prog", "--sim-partitions=0"};
-    const char* junk[] = {"prog", "--sim-partitions", "2x"};
-    EXPECT_EXIT(parse(zero, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(junk, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-}
 
 TEST(ParallelSim, ReportRecordsModelLookahead)
 {

@@ -10,15 +10,17 @@
  */
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "fault/fault_spec.hh"
+#include "harness/campaign_cli.hh"
 #include "harness/posix_io.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
@@ -100,18 +102,15 @@ usage(const char* argv0)
 
 /** Strict numeric parsers: the whole operand must be one number in
  *  range, otherwise the run aborts with a usage hint — `--dim abc`
- *  must not silently become 0. */
+ *  must not silently become 0, nor `--dim 4294967298` wrap to 2.
+ *  Integers are decimal (harness::parseU64): `--seed 010` is ten. */
 std::uint64_t
-parseUnsignedArg(const char* opt, const char* text)
+parseUnsignedArg(const char* opt, const char* text, std::uint64_t max)
 {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        std::strchr(text, '-') != nullptr) {
-        fatal("option ", opt, ": '", text,
-              "' is not a non-negative integer (try --help)");
-    }
+    std::uint64_t v = 0;
+    std::string err;
+    if (!harness::parseU64(text, max, &v, &err))
+        fatal("option ", opt, ": ", err, " (try --help)");
     return v;
 }
 
@@ -204,20 +203,20 @@ main(int argc, char** argv)
                 config = need(i);
             } else if (a == "--dim") {
                 dim = static_cast<unsigned>(
-                    parseUnsignedArg("--dim", need(i)));
+                    parseUnsignedArg("--dim", need(i), UINT_MAX));
                 if (dim < 1 || dim > 6)
                     fatal("option --dim: ", dim,
                           " out of range [1, 6] (2..64 nodes)");
             } else if (a == "--seed") {
-                seed = parseUnsignedArg("--seed", need(i));
+                seed = parseUnsignedArg("--seed", need(i), UINT64_MAX);
             } else if (a == "--sim-threads") {
-                sim_threads = static_cast<unsigned>(
-                    parseUnsignedArg("--sim-threads", need(i)));
+                sim_threads = static_cast<unsigned>(parseUnsignedArg(
+                    "--sim-threads", need(i), UINT_MAX));
                 if (sim_threads == 0)
                     fatal("option --sim-threads: must be >= 1");
             } else if (a == "--sim-partitions") {
-                sim_partitions = static_cast<unsigned>(
-                    parseUnsignedArg("--sim-partitions", need(i)));
+                sim_partitions = static_cast<unsigned>(parseUnsignedArg(
+                    "--sim-partitions", need(i), UINT_MAX));
                 if (sim_partitions == 0)
                     fatal("option --sim-partitions: must be >= 1");
             } else if (a == "--wakeup") {
@@ -263,8 +262,11 @@ main(int argc, char** argv)
             } else if (a == "--hardening") {
                 hardening = true;
             } else if (a == "--liveness-budget") {
-                liveness_ms =
-                    parseUnsignedArg("--liveness-budget", need(i));
+                // Lands in Ticks (picoseconds): ms * kMillisecond
+                // must not wrap.
+                liveness_ms = parseUnsignedArg("--liveness-budget",
+                                               need(i),
+                                               UINT64_MAX / kMillisecond);
                 have_liveness = true;
             } else if (a == "--check") {
                 check = true;
