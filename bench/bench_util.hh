@@ -96,18 +96,15 @@ matrixPointTask(const harness::SystemConfig& sys,
 }
 
 /**
- * Run the (app x configuration) matrix of the figure campaigns under
- * whatever execution mode the command line selected — the local
- * CampaignSupervisor by default, the distributed work-queue daemon
- * with --serve (docs/ROBUSTNESS.md, "Distributed campaigns") — with
- * each point's full ExperimentResult serialized losslessly so it
- * survives --isolate's process boundary, the result store's disk
- * boundary and the daemon's socket boundary alike. @p groups comes
- * back grouped per app in figure order (B, H, O, T, I) for every
- * resolved point, whatever --jobs; consult the returned run's report
- * before rendering — failed points leave default-constructed
- * entries. A non-null @p capture records each in-process point's
- * trace and stats (--trace / --stats-json).
+ * Run the (app x configuration) matrix of the figure campaigns on the
+ * local CampaignSupervisor behind the result stores, with each
+ * point's full ExperimentResult serialized losslessly so it survives
+ * --isolate's process boundary and the result store's disk boundary
+ * alike. @p groups comes back grouped per app in figure order (B, H,
+ * O, T, I) for every resolved point, whatever --jobs; consult the
+ * returned run's report before rendering — failed points leave
+ * default-constructed entries. A non-null @p capture records each
+ * in-process point's trace and stats (--trace / --stats-json).
  */
 inline svc::CampaignRun
 runAppConfigMatrixSupervised(
@@ -135,24 +132,6 @@ runAppConfigMatrixSupervised(
             harness::deserializeResult(run.results[i]);
     }
     return run;
-}
-
-/**
- * Worker-mode entry of the figure campaigns (--worker ADDR): lease
- * matrix points from the daemon until it reports Done. Returns the
- * process exit code; the caller must not print the banner or touch
- * artifact files in this mode — the daemon owns all campaign output.
- */
-inline int
-runAppConfigMatrixWorker(
-    const harness::SystemConfig& sys,
-    const std::vector<workloads::AppProfile>& apps,
-    const harness::CampaignOptions& opts, const char* prog)
-{
-    const harness::PointTask task =
-        matrixPointTask(sys, apps, opts, prog);
-    return svc::runCampaignWorker(
-        opts, apps.size() * figureConfigs().size(), task);
 }
 
 /** One point of a robustness campaign (seeds or faults sweep). */
@@ -267,26 +246,17 @@ extractJsonU64(const std::string& line, const std::string& key)
  * run. The supervisor counter line (kind "supervisor") goes to stdout
  * only: it legitimately differs between a straight and a resumed run
  * (cached/retries counts), so it must not pollute the artifact.
- * A distributed campaign adds its daemon counters (@p serviceSummary,
- * kind "service") to stdout and its crash ledger (@p ledgerJsonl,
- * kind "crash-ledger") to the manifest — the manifest file persists
- * whenever the ledger is non-empty, even for a campaign that
- * ultimately succeeded, because "a worker died and the queue
- * recovered" is exactly what the ledger exists to record.
+ * The `--manifest` file is written exactly when the report is not ok,
+ * and removed otherwise.
  */
 inline int
 finishSupervisedCampaign(const harness::CampaignOptions& opts,
                          const harness::SupervisorReport& report,
                          const std::string& campaign,
                          const std::string& artifact,
-                         const harness::ObsCapture* capture = nullptr,
-                         const std::string& serviceSummary = "",
-                         const std::string& ledgerJsonl = "")
+                         const harness::ObsCapture* capture = nullptr)
 {
-    std::cout << report.summaryJson(campaign);
-    if (!serviceSummary.empty())
-        std::cout << serviceSummary;
-    std::cout << std::flush;
+    std::cout << report.summaryJson(campaign) << std::flush;
     if (capture && capture->statsEnabled())
         std::cout << capture->predictionSummaryJson() << std::flush;
     if (capture)
@@ -294,11 +264,10 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
 
     std::ostringstream manifest;
     report.writeManifest(manifest, campaign);
-    manifest << ledgerJsonl;
     if (!manifest.str().empty())
         std::cerr << manifest.str() << std::flush;
     if (!opts.manifestPath.empty()) {
-        if (!report.ok() || !ledgerJsonl.empty())
+        if (!report.ok())
             harness::writeFileAtomic(opts.manifestPath,
                                      manifest.str());
         else
@@ -312,7 +281,7 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
     return report.failures() == 0 ? 0 : 1;
 }
 
-/** finishSupervisedCampaign over a full CampaignRun (any mode). */
+/** finishSupervisedCampaign over a full CampaignRun. */
 inline int
 finishSupervisedCampaign(const harness::CampaignOptions& opts,
                          const svc::CampaignRun& run,
@@ -321,9 +290,7 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
                          const harness::ObsCapture* capture = nullptr)
 {
     return finishSupervisedCampaign(opts, run.report, campaign,
-                                    artifact, capture,
-                                    run.serviceSummary,
-                                    run.ledgerJsonl);
+                                    artifact, capture);
 }
 
 /** Standard banner for every bench binary. */

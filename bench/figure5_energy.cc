@@ -9,16 +9,13 @@
  *   figure5_energy [--jobs N] [--deadline-ms N] [--retries N]
  *                  [--backoff-ms N] [--isolate] [--journal DIR]
  *                  [--resume] [--out FILE] [--manifest FILE]
- *                  [--only-point I] [--serve ADDR | --worker ADDR]
- *                  [--cache DIR]
+ *                  [--only-point I] [--cache DIR]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor: sharded over --jobs threads, optionally deadline-bounded
  * / retried / forked per point, and stored in the --journal result
  * store so an interrupted run resumes with byte-identical output (see
- * docs/ROBUSTNESS.md, "Supervised campaigns"). With --serve the same point space is
- * served to --worker processes over the distributed work queue
- * ("Distributed campaigns"), with byte-identical final output.
+ * docs/ROBUSTNESS.md, "Supervised campaigns").
  */
 
 #include <iostream>
@@ -62,11 +59,6 @@ main(int argc, char** argv)
             std::cout << capture.predictionSummaryJson();
         capture.writeFiles();
         return 0;
-    }
-
-    if (!opts.workerAddr.empty()) {
-        return bench::runAppConfigMatrixWorker(sys, apps, opts,
-                                               "figure5_energy");
     }
 
     bench::banner("Figure 5 — normalized energy consumption", sys);

@@ -7,12 +7,11 @@
  *   figure6_time [--jobs N] [--deadline-ms N] [--retries N]
  *                [--backoff-ms N] [--isolate] [--journal DIR]
  *                [--resume] [--out FILE] [--manifest FILE]
- *                [--only-point I] [--serve ADDR | --worker ADDR]
- *                [--cache DIR]
+ *                [--only-point I] [--cache DIR]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor — same surface as figure5_energy (docs/ROBUSTNESS.md,
- * "Supervised campaigns" and "Distributed campaigns").
+ * "Supervised campaigns").
  */
 
 #include <iostream>
@@ -56,11 +55,6 @@ main(int argc, char** argv)
             std::cout << capture.predictionSummaryJson();
         capture.writeFiles();
         return 0;
-    }
-
-    if (!opts.workerAddr.empty()) {
-        return bench::runAppConfigMatrixWorker(sys, apps, opts,
-                                               "figure6_time");
     }
 
     bench::banner("Figure 6 — normalized execution time", sys);

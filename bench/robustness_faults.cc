@@ -18,7 +18,7 @@
  *                     [--retries N] [--backoff-ms N] [--isolate]
  *                     [--journal DIR] [--resume] [--out FILE]
  *                     [--manifest FILE] [--only-point I]
- *                     [--serve ADDR | --worker ADDR] [--cache DIR]
+ *                     [--cache DIR]
  *
  * Points are independent simulations supervised by
  * harness::CampaignSupervisor: sharded over --jobs threads, bounded
@@ -234,9 +234,6 @@ main(int argc, char** argv)
         return "robustness_faults --only-point " + std::to_string(i) +
                opts.reproFlags() + "   # " + pointLabel(points[i]);
     };
-
-    if (!opts.workerAddr.empty())
-        return tb::svc::runCampaignWorker(opts, points.size(), task);
 
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));

@@ -8,8 +8,7 @@
  *   robustness_seeds [--jobs N] [--deadline-ms N] [--retries N]
  *                    [--backoff-ms N] [--isolate] [--journal DIR]
  *                    [--resume] [--out FILE] [--manifest FILE]
- *                    [--only-point I]
- *                    [--serve ADDR | --worker ADDR] [--cache DIR]
+ *                    [--only-point I] [--cache DIR]
  *
  * Each (seed, application) pair is one supervised campaign point
  * running the Baseline / Thrifty-Halt / Thrifty triple; points are
@@ -186,9 +185,6 @@ main(int argc, char** argv)
                std::to_string(points[i].seed) + " app=" +
                points[i].app;
     };
-
-    if (!opts.workerAddr.empty())
-        return tb::svc::runCampaignWorker(opts, points.size(), task);
 
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());

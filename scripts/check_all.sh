@@ -9,9 +9,7 @@
 #   scripts/check_all.sh address     # just one
 #   scripts/check_all.sh faults      # fault campaign only
 #   scripts/check_all.sh lint        # tblint static analysis only
-#   scripts/check_all.sh distributed # daemon/worker kill smoke test
 #   scripts/check_all.sh resume      # SIGINT mid-campaign, resume, diff
-#   scripts/check_all.sh chaos       # daemon SIGKILL+resume under net faults
 #   scripts/check_all.sh pdes        # --sim-threads determinism matrix
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,11 +25,8 @@ Presets (default: all of them, in this order):
   address      AddressSanitizer test suite
   undefined    UBSanitizer test suite
   thread       ThreadSanitizer test suite
-  distributed  daemon/worker SIGKILL smoke test (docs/ROBUSTNESS.md)
   resume       interrupt a --journal campaign, --resume it, require a
                byte-identical artifact (docs/ROBUSTNESS.md)
-  chaos        daemon SIGKILL + --serve --resume recovery under
-               injected network faults (docs/ROBUSTNESS.md)
   pdes         --sim-threads 1/2/4/8 determinism matrix
                (docs/PERFORMANCE.md, "Parallel simulation (PDES)")
 EOF
@@ -40,8 +35,7 @@ fi
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-    presets=(lint check faults address undefined thread distributed
-             resume chaos pdes)
+    presets=(lint check faults address undefined thread resume pdes)
 fi
 
 run_preset() {
@@ -59,7 +53,7 @@ run_preset() {
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                -DTB_SANITIZE=$preset)
         ;;
-      lint|distributed|resume|chaos)
+      lint|resume)
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
         ;;
       pdes)
@@ -68,7 +62,7 @@ run_preset() {
       *)
         echo "unknown preset '$preset'" >&2
         echo "expected: lint, check, faults, address, undefined," \
-             "thread, distributed, resume, chaos or pdes" >&2
+             "thread, resume or pdes" >&2
         return 1
         ;;
     esac
@@ -101,15 +95,6 @@ run_preset() {
             scripts/pdes_determinism.sh
         return 0
     fi
-    if [ "$preset" = distributed ]; then
-        # Fault-tolerance smoke test of the work-queue service: a
-        # campaign survives a SIGKILLed worker byte-identically, and
-        # a warm result cache replays it with zero simulations.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target figure6_time
-        BUILD_DIR="$dir" scripts/distributed_smoke.sh
-        return 0
-    fi
     if [ "$preset" = resume ]; then
         # Resume equivalence: SIGINT a --journal campaign mid-run,
         # resume it from its result store, cmp against a straight run.
@@ -118,16 +103,6 @@ run_preset() {
         rm -rf "$dir/resume_smoke"
         scripts/resume_smoke.sh "$dir/bench/robustness_faults" \
             "$dir/resume_smoke"
-        return 0
-    fi
-    if [ "$preset" = chaos ]; then
-        # Crash-recovery chaos: daemon SIGKILLed mid-campaign and
-        # restarted with --serve --resume while every worker socket
-        # runs under deterministic network fault injection, plus one
-        # worker SIGKILL. Artifacts must stay byte-identical.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target figure6_time
-        BUILD_DIR="$dir" scripts/chaos_smoke.sh
         return 0
     fi
     cmake -B "$dir" -G Ninja "${flags[@]}"

@@ -24,9 +24,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
         "[--resume]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n"
-        "       [--serve ADDR | --worker ADDR] [--cache DIR]\n"
-        "       [--lease-ms N] [--heartbeat-ms N] [--worker-name S]\n"
-        "       [--net-faults SPEC] [--reconnect-ms N]\n",
+        "       [--cache DIR]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
     std::exit(2);
 }
@@ -172,42 +170,11 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 usage(prog, "option --stats-json needs a file name",
                       allowQuick);
             }
-        } else if (opt == "--serve") {
-            o.serveAddr = value(i);
-            if (o.serveAddr.empty())
-                usage(prog, "option --serve needs an address",
-                      allowQuick);
-        } else if (opt == "--worker") {
-            o.workerAddr = value(i);
-            if (o.workerAddr.empty())
-                usage(prog, "option --worker needs an address",
-                      allowQuick);
         } else if (opt == "--cache") {
             o.cacheDir = value(i);
             if (o.cacheDir.empty())
                 usage(prog, "option --cache needs a directory",
                       allowQuick);
-        } else if (opt == "--lease-ms") {
-            o.leaseMs = optionU64(prog, "--lease-ms", value(i),
-                                  allowQuick, kMaxOptionMs);
-        } else if (opt == "--heartbeat-ms") {
-            o.heartbeatMs = optionU64(prog, "--heartbeat-ms", value(i),
-                                      allowQuick, kMaxOptionMs);
-            if (o.heartbeatMs == 0) {
-                usage(prog, "option --heartbeat-ms: must be >= 1",
-                      allowQuick);
-            }
-        } else if (opt == "--worker-name") {
-            o.workerName = value(i);
-        } else if (opt == "--net-faults") {
-            o.netFaultsSpec = value(i);
-            if (o.netFaultsSpec.empty()) {
-                usage(prog, "option --net-faults needs a spec",
-                      allowQuick);
-            }
-        } else if (opt == "--reconnect-ms") {
-            o.reconnectMs = optionU64(prog, "--reconnect-ms", value(i),
-                                      allowQuick, kMaxOptionMs);
         } else if (opt == "--quick" && allowQuick) {
             o.quick = true;
         } else {
@@ -220,18 +187,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
 
     if (o.resume && o.journalPath.empty())
         usage(prog, "--resume requires --journal DIR", allowQuick);
-    if (!o.serveAddr.empty() && !o.workerAddr.empty()) {
-        usage(prog, "--serve and --worker are mutually exclusive",
-              allowQuick);
-    }
-    if (!o.workerAddr.empty() && o.onlyPoint >= 0) {
-        usage(prog, "--worker and --only-point are mutually exclusive",
-              allowQuick);
-    }
-    if (!o.netFaultsSpec.empty() && o.workerAddr.empty()) {
-        usage(prog, "--net-faults requires --worker ADDR",
-              allowQuick);
-    }
     return o;
 }
 

@@ -27,23 +27,8 @@
  *   --manifest FILE   atomically write the failure manifest to FILE
  *   --only-point I    run just point I inline (repro mode)
  *   --quick           CI-sized subset (benches that support it)
- *
- * plus the distributed surface (docs/ROBUSTNESS.md, "Distributed
- * campaigns"):
- *
- *   --serve ADDR      run as the campaign daemon on unix:PATH or
- *                     tcp:HOST:PORT; points execute on workers
- *   --worker ADDR     run as a worker of the daemon at ADDR
  *   --cache DIR       shared result store, always read (best
  *                     effort: an unusable DIR runs uncached)
- *   --lease-ms N      per-lease deadline on the daemon (default 60000)
- *   --heartbeat-ms N  worker heartbeat interval (default 1000)
- *   --worker-name S   announced worker identity (default pid@host)
- *   --net-faults SPEC deterministic network fault injection on this
- *                     worker's socket (requires --worker; grammar in
- *                     docs/ROBUSTNESS.md, "Network fault injection")
- *   --reconnect-ms N  budget for transparent reconnection after
- *                     losing the daemon socket (default 5000)
  *
  * plus the observability surface (docs/OBSERVABILITY.md):
  *
@@ -79,10 +64,9 @@ bool parseU64(const char* text, std::uint64_t max, std::uint64_t* out,
 
 /**
  * Ceiling of every millisecond campaign option (--deadline-ms,
- * --lease-ms, --heartbeat-ms, --reconnect-ms, --backoff-ms): one
- * week. Anything larger would overflow the deadline arithmetic
- * (std::chrono::milliseconds, now + lease) instead of meaning
- * "forever", so it is a usage error.
+ * --backoff-ms): one week. Anything larger would overflow the
+ * deadline arithmetic (std::chrono::milliseconds, now + deadline)
+ * instead of meaning "forever", so it is a usage error.
  */
 constexpr std::uint64_t kMaxOptionMs = 7ull * 24 * 60 * 60 * 1000;
 
@@ -116,20 +100,7 @@ struct CampaignOptions
     /** Category mask for --trace (defaults to every category). */
     unsigned traceMask = obs::kAllTraceCategories;
     std::string statsJsonPath; ///< "" = no stats JSONL
-    std::string serveAddr;     ///< "" = not a daemon
-    std::string workerAddr;    ///< "" = not a worker
     std::string cacheDir;      ///< --cache store; "" = none
-    std::uint64_t leaseMs = 60000;
-    std::uint64_t heartbeatMs = 1000;
-    std::string workerName;    ///< "" = pid@host
-    /**
-     * Raw --net-faults spec, parsed at the point of use (the harness
-     * layer cannot depend on svc's NetFaultSpec); "" = clean
-     * transport. Only valid with --worker.
-     */
-    std::string netFaultsSpec;
-    /** Worker reconnect budget after daemon loss (--reconnect-ms). */
-    std::uint64_t reconnectMs = 5000;
 
     /**
      * Parse @p argv strictly. Unknown options, malformed or

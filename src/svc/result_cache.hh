@@ -7,8 +7,8 @@
  * (PointTask::keyOf: sweep shape, flags, workload knobs, seed). The
  * store maps that key to the point's serialized artifact on disk, so
  * a repeated point — across campaigns, across interrupted and resumed
- * runs, across daemon restarts, across machines sharing a filesystem
- * — is a hit instead of a re-simulation. Both `--cache DIR` and
+ * runs, across concurrent campaigns sharing the directory — is a hit
+ * instead of a re-simulation. Both `--cache DIR` and
  * `--journal DIR` are stores in this format; CampaignStores below
  * says when each is read and written.
  *

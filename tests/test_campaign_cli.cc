@@ -70,19 +70,13 @@ TEST(CampaignCliDeathTest, SimPartitionsOutOfRangeIsAUsageError)
 TEST(CampaignCliDeathTest, MillisecondsOutOfRangeIsAUsageError)
 {
     // A u64 of milliseconds overflows std::chrono::milliseconds and
-    // now + lease; --deadline-ms 2^64-1 once timed out every point at
+    // now + deadline; --deadline-ms 2^64-1 once timed out every point at
     // once. One week is accepted, a millisecond more is not.
     const std::string week = std::to_string(harness::kMaxOptionMs);
     const std::string past = std::to_string(harness::kMaxOptionMs + 1);
     EXPECT_EQ(parseArgs({"--deadline-ms", week}).policy.deadlineMs,
               harness::kMaxOptionMs);
     EXPECT_EQ(parseArgs({"--backoff-ms", week}).policy.backoffBaseMs,
-              harness::kMaxOptionMs);
-    EXPECT_EQ(parseArgs({"--lease-ms", week}).leaseMs,
-              harness::kMaxOptionMs);
-    EXPECT_EQ(parseArgs({"--heartbeat-ms", week}).heartbeatMs,
-              harness::kMaxOptionMs);
-    EXPECT_EQ(parseArgs({"--reconnect-ms", week}).reconnectMs,
               harness::kMaxOptionMs);
     EXPECT_EXIT(parseArgs({"--deadline-ms", "18446744073709551615"}),
                 testing::ExitedWithCode(2),
@@ -92,14 +86,14 @@ TEST(CampaignCliDeathTest, MillisecondsOutOfRangeIsAUsageError)
                 "--deadline-ms.*out of range");
     EXPECT_EXIT(parseArgs({"--backoff-ms", past}),
                 testing::ExitedWithCode(2), "--backoff-ms.*out of range");
-    EXPECT_EXIT(parseArgs({"--lease-ms", past}),
-                testing::ExitedWithCode(2), "--lease-ms.*out of range");
-    EXPECT_EXIT(parseArgs({"--heartbeat-ms=" + past}),
-                testing::ExitedWithCode(2),
-                "--heartbeat-ms.*out of range");
-    EXPECT_EXIT(parseArgs({"--reconnect-ms", past}),
-                testing::ExitedWithCode(2),
-                "--reconnect-ms.*out of range");
+}
+
+TEST(CampaignCliDeathTest, ServeIsAnUnknownOption)
+{
+    // Campaigns run only on the local supervisor; the old served mode
+    // is gone, so its flag is a usage error like any unknown option.
+    EXPECT_EXIT(parseArgs({"--serve", "x"}), testing::ExitedWithCode(2),
+                "unknown option '--serve'");
 }
 
 TEST(CampaignCli, ParseU64IsStrictDecimal)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -121,6 +122,17 @@ TEST(Supervisor, RetriesUntilSuccessAndCountsAttempts)
             EXPECT_EQ(sup.results()[i], "ok:" + std::to_string(i));
         }
     }
+    EXPECT_TRUE(sup.results()[5].empty());
+
+    // The exhausted budget lands in the manifest; the point that
+    // recovered on a retry does not.
+    std::ostringstream manifest;
+    r.writeManifest(manifest, "test");
+    const std::string m = manifest.str();
+    EXPECT_EQ(std::count(m.begin(), m.end(), '\n'), 1) << m;
+    EXPECT_NE(m.find("\"point\": 5"), std::string::npos) << m;
+    EXPECT_NE(m.find("\"attempts\": 4"), std::string::npos) << m;
+    EXPECT_NE(m.find("always broken"), std::string::npos) << m;
 }
 
 TEST(Supervisor, ClassifiesPanicAsCheckerViolation)

@@ -4,7 +4,7 @@
  * checksum-verified lookups with corrupted-entry eviction, two
  * processes writing one key, unusable cache directories degrading to
  * uncached (never failing the campaign), and — through
- * svc::runCampaignPoints in local mode — the warm-cache re-run
+ * svc::runCampaignPoints — the warm-cache re-run
  * contract (zero simulations, byte-identical artifacts, even after
  * the cache directory is corrupted wholesale), point keys that carry
  * the resolved simulation plan, and the `--journal`/`--resume`
@@ -172,7 +172,7 @@ TEST(ResultCache, TruncatedEntryEvicted)
 
 TEST(ResultCache, ZeroLengthEntryEvicted)
 {
-    // The classic torn write: a daemon SIGKILLed between open and the
+    // The classic torn write: a process SIGKILLed between open and the
     // first write leaves a zero-byte entry. It must classify as a
     // miss, be evicted, and never poison a warm run.
     ResultCache c;
@@ -506,11 +506,23 @@ TEST(ResultStore, ResumeReplaysStoredBytes)
     EXPECT_EQ(r2.report.count(PointOutcome::Cached), 3u);
     EXPECT_EQ(r2.report.count(PointOutcome::Ok), 3u);
     EXPECT_EQ(r2.cache.hits, 3u);
+    EXPECT_EQ(runs, 6) << "only the missing points run";
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(r2.results[i], "r:" + std::to_string(i) + ":gen1")
             << "stored point reran";
-    for (std::size_t i = 3; i < 6; ++i)
+    for (std::size_t i = 3; i < 6; ++i) {
         EXPECT_EQ(r2.results[i], "r:" + std::to_string(i) + ":gen2");
+        EXPECT_EQ(r2.report.points[i].attempts, 1u);
+    }
+
+    // Every point, replayed or rerun, is in the store afterwards.
+    ResultCache peek;
+    ASSERT_TRUE(peek.open(opts.journalPath));
+    for (std::size_t i = 0; i < 6; ++i) {
+        std::string out;
+        ASSERT_TRUE(peek.lookup(first.keyOf(i), &out)) << "point " << i;
+        EXPECT_EQ(out, r2.results[i]);
+    }
 }
 
 TEST(ResultStore, KeyMismatchForcesRerun)

@@ -225,8 +225,8 @@ TEST(TblintWallClock, MethodNamedTimeIsClean)
 
 TEST(TblintWallClock, SleepFamilyFires)
 {
-    // Blocking sleeps hide latency from lease/heartbeat machinery —
-    // daemons and workers must wait on poll() timeouts instead.
+    // Blocking sleeps hide latency from every deadline around them;
+    // a deliberate host-time wait needs a tblint-allow reason.
     const auto fs = lintContent("src/svc/a.cc", R"tb(
         void waitAround() {
             sleep(1);

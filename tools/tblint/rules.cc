@@ -235,10 +235,10 @@ isBannedClockCall(const std::string& s)
            s == "clock_gettime" || s == "timespec_get" ||
            s == "localtime" || s == "gmtime" || s == "mktime" ||
            // Blocking sleeps are wall-clock dependencies too: a
-           // daemon/worker that sleeps hides latency from the lease
-           // and heartbeat machinery. Wait on poll() timeouts
-           // (harness::pollOne) so waits are interruptible and
-           // visibly bounded.
+           // sleep hides latency from every deadline around it. The
+           // campaign supervisor's host-time waits (retry backoff,
+           // the forked point's deadline watch) each carry a
+           // tblint-allow reason.
            s == "sleep" || s == "usleep" || s == "nanosleep" ||
            s == "alarm" || s == "sleep_for" || s == "sleep_until";
 }
@@ -631,11 +631,11 @@ ruleUnsafeQueueAccess(const FileCtx& ctx, std::vector<Finding>* out)
 void
 ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
 {
-    // The service layer must route socket I/O through the harness
-    // posix_io helpers (readFull/writeFull/pollMany/acceptOne): they
-    // own the EINTR-as-retry policy, so a signal landing mid-syscall
-    // — SIGCHLD from a forked point, a profiler, a debugger attach —
-    // never turns into a spurious disconnect or a torn frame. A raw
+    // The store layer must route descriptor I/O through the harness
+    // posix_io helpers (writeFull/readSome): they own the
+    // EINTR-as-retry policy, so a signal landing mid-syscall —
+    // SIGCHLD from a forked point, a profiler, a debugger attach —
+    // never turns into a spurious failure or a torn write. A raw
     // ::read in src/svc is a reintroduced EINTR bug waiting for a
     // signal to happen.
     if (!pathUnder(ctx.path, "src/svc"))
@@ -661,9 +661,8 @@ ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
                  "()' in src/svc — bypasses the harness posix_io "
                  "EINTR-as-retry policy, so a mid-syscall signal "
                  "becomes a spurious disconnect or torn frame",
-             "use harness::readFull/writeFull/pollOne/pollMany/"
-             "acceptOne; a deliberate raw call needs a tblint-allow "
-             "reason");
+             "use harness::writeFull/readSome; a deliberate raw call "
+             "needs a tblint-allow reason");
     }
 }
 

@@ -297,6 +297,17 @@ main(int argc, char** argv)
                 fatal("unknown option '", a, "'");
             }
         }
+        // The machine only rejects a bad plan once it is built, which
+        // is after the report has started; catch it here instead.
+        const unsigned nodes = 1u << dim;
+        if ((sim_partitions & (sim_partitions - 1)) != 0 ||
+            sim_partitions > nodes) {
+            std::fprintf(stderr,
+                         "option --sim-partitions: %u is not a power "
+                         "of two dividing the %u nodes (try --help)\n",
+                         sim_partitions, nodes);
+            return 2;
+        }
 
         harness::SystemConfig sys = harness::SystemConfig::small(dim);
         sys.seed = seed;
