@@ -52,16 +52,10 @@ matrixPointTask(const harness::SystemConfig& sys,
 {
     const std::vector<harness::ConfigKind> kinds = figureConfigs();
     harness::PointTask task;
-    task.run = [&sys, &apps, &opts, capture, kinds](std::size_t i) {
+    task.run = [&sys, &apps, capture, kinds](std::size_t i) {
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
         harness::RunOptions ro;
-        // Like --jobs, --sim-threads never changes a point's result
-        // (parallel_sim.hh), so it stays out of task.key below. The
-        // partition count selects the simulation plan and therefore
-        // DOES enter the key.
-        ro.simThreads = opts.simThreads;
-        ro.simPartitions = opts.simPartitions;
         harness::ObsCapture::PointScope scope;
         if (capture)
             capture->arm(i, &ro, &scope);
@@ -74,18 +68,15 @@ matrixPointTask(const harness::SystemConfig& sys,
         }
         return harness::serializeResult(r);
     };
-    task.key = [&sys, &apps, &opts, prog, kinds](std::size_t i) {
+    task.key = [&sys, &apps, prog, kinds](std::size_t i) {
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
-        harness::RunOptions ro;
-        ro.simPartitions = opts.simPartitions;
         std::ostringstream id;
         id << prog << '|' << apps[a].name << '|'
            << harness::configName(kinds[k]) << "|dim="
            << sys.noc.dimension << "|seed=" << sys.seed
            << "|three=" << sys.memory.threeHopForwarding
-           << "|iters=" << apps[a].iterations
-           << "|parts=" << harness::resolvedSimPartitions(ro);
+           << "|iters=" << apps[a].iterations;
         return harness::fnv1a64(id.str());
     };
     task.repro = [&opts, prog](std::size_t i) {
@@ -193,13 +184,6 @@ struct MicroMetric
     double value = 0.0;
     std::uint64_t ops = 0; ///< operations contributing to the value
     double wallSeconds = 0.0;
-    /**
-     * Host worker threads the metric was measured with (PDES
-     * benchmarks); 0 = thread-independent metric, field omitted.
-     * compare_bench.py only enforces absolute speedup floors on
-     * lines that actually ran multi-threaded (threads >= 4).
-     */
-    unsigned threads = 0;
 };
 
 /** Emit one microbenchmark metric as a single campaign-JSON line. */
@@ -214,8 +198,6 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
         .field("value", m.value)
         .field("ops", m.ops)
         .field("wall_s", m.wallSeconds);
-    if (m.threads != 0)
-        w.field("threads", m.threads);
     w.endObject();
     os << '\n';
 }

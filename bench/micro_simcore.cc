@@ -12,18 +12,6 @@
  *   - eq_schedule_cancel cancel-heavy schedule/cancel/drain throughput
  *   - coherence_txn     end-to-end coherent store ping-pong rate
  *   - barriers          end-to-end thrifty-barrier instances per second
- *   - pdes_fire_*       conservative-PDES fire-loop throughput on a
- *                       64-partition hypercube workload, serial and at
- *                       min(4, host cores) workers, plus the speedup,
- *                       the null-message/stall overhead ratios and the
- *                       deterministic total event count
- *   - machine_pdes_*    the same speedup question asked of the real
- *                       model: one full 64-node thrifty experiment,
- *                       partitioned into 8 clusters, at 1 worker vs
- *                       min(4, host cores) workers — the "does a single
- *                       simulation actually get faster" number, gated
- *                       on the 1.5x floor when measured with >= 4
- *                       workers
  * plus the *simulated* latency of one coherence transaction in ticks,
  * which is seed-deterministic and must never drift.
  *
@@ -38,17 +26,14 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 
 namespace {
 
@@ -246,288 +231,6 @@ barriersPerSecond(bool quick)
     return m;
 }
 
-/** One measured run of the PDES hypercube workload. */
-struct PdesRun
-{
-    pdes::EngineStats stats;
-    double wall = 0.0;
-};
-
-/**
- * The PDES fire-loop workload: PHOLD on a 6-cube. 64 partitions (the
- * node count of the full machine), channel lookahead = the NoC's
- * minimum cross-node latency (48 ns — the bound the partitioned
- * machine model will use), and a fixed population of jobs, eight per
- * partition. Each fired job burns a fixed xorshift grain and then
- * schedules exactly ONE successor: usually a short local hop, one in
- * sixteen times a hop across a random cube edge — a constant-
- * population load with the communication/computation mix of a real
- * model, never a fork bomb. The total event count is a pure function
- * of the seeds — the serial/threaded runs must agree on it exactly,
- * and the perf gate compares it bit-for-bit.
- */
-PdesRun
-runPdesCube(unsigned threads, bool quick)
-{
-    const unsigned dim = 6;
-    const unsigned n = 1u << dim;
-    const unsigned jobsPerPart = 8;
-    const Tick lookahead = noc::NetworkConfig{}.minCrossNodeLatency();
-    const Tick horizon = lookahead * (quick ? 96 : 384);
-
-    pdes::Engine::Config cfg;
-    cfg.threads = threads;
-    pdes::Engine engine(cfg);
-    std::vector<pdes::Partition*> parts;
-    parts.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        parts.push_back(&engine.addPartition("cube" + std::to_string(i)));
-    for (unsigned i = 0; i < n; ++i)
-        for (unsigned b = 0; b < dim; ++b)
-            engine.connect(parts[i]->id(), parts[i ^ (1u << b)]->id(),
-                           lookahead);
-
-    // Per-partition grain state; owner-confined like the partitions
-    // themselves (only partition i's events touch rng[i]). Padded to
-    // cache-line stride so neighboring partitions on different
-    // workers don't false-share their hot state.
-    struct alignas(64) PartState
-    {
-        std::uint64_t x;
-    };
-    std::vector<PartState> rng(n);
-    for (unsigned i = 0; i < n; ++i)
-        rng[i].x = 0x9e3779b97f4a7c15ull ^ (i * 0xbf58476d1ce4e5b9ull);
-
-    std::function<void(unsigned)> hop = [&](unsigned i) {
-        pdes::Partition& p = *parts[i];
-        std::uint64_t x = rng[i].x;
-        for (int r = 0; r < 32; ++r) {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x *= 0x2545f4914f6cdd1dull;
-        }
-        rng[i].x = x;
-        if (p.now() >= horizon)
-            return; // job retires; population only ever shrinks
-        if ((x & 15u) == 0) {
-            const unsigned dst = i ^ (1u << ((x >> 8) % dim));
-            p.send(parts[dst]->id(),
-                   p.now() + lookahead + (x % 257),
-                   [&hop, dst] { hop(dst); });
-        } else {
-            p.scheduleIn(1 + (x % 1024), [&hop, i] { hop(i); });
-        }
-    };
-
-    for (unsigned i = 0; i < n; ++i)
-        for (unsigned j = 0; j < jobsPerPart; ++j)
-            parts[i]->schedule(1 + ((i + 7u * j) % 97), [&hop, i] {
-                hop(i);
-            });
-
-    const auto t0 = Clock::now();
-    engine.run();
-    PdesRun r;
-    r.wall = secondsSince(t0);
-    r.stats = engine.stats();
-    return r;
-}
-
-/**
- * The PDES metric family. Throughput is best-of-N per thread count;
- * the deterministic event count is cross-checked between every run
- * before anything is reported — a serial/threaded mismatch is a
- * determinism bug, not a perf number, and fails the benchmark.
- */
-std::vector<bench::MicroMetric>
-pdesMetrics(bool quick, unsigned reps, bool* ok)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned par = hw > 1 ? (hw < 4 ? hw : 4u) : 1u;
-
-    const auto bestAt = [&](unsigned threads) {
-        PdesRun best = runPdesCube(threads, quick);
-        for (unsigned i = 1; i < reps; ++i) {
-            const PdesRun r = runPdesCube(threads, quick);
-            if (r.stats.fired != best.stats.fired) {
-                std::cerr << "pdes event count drifted between "
-                             "repetitions\n";
-                *ok = false;
-            }
-            if (r.wall < best.wall)
-                best = r;
-        }
-        return best;
-    };
-
-    const PdesRun serial = bestAt(1);
-    const PdesRun threaded = bestAt(par);
-    if (serial.stats.fired != threaded.stats.fired ||
-        serial.stats.finalTick != threaded.stats.finalTick) {
-        std::cerr << "pdes serial/threaded runs diverged\n";
-        *ok = false;
-    }
-
-    std::vector<bench::MicroMetric> ms;
-    bench::MicroMetric fire1;
-    fire1.benchmark = "pdes_fire_1t";
-    fire1.unit = "events/s";
-    fire1.ops = serial.stats.fired;
-    fire1.wallSeconds = serial.wall;
-    fire1.value = static_cast<double>(serial.stats.fired) / serial.wall;
-    fire1.threads = 1;
-    ms.push_back(fire1);
-
-    bench::MicroMetric fireN;
-    fireN.benchmark = "pdes_fire_4t";
-    fireN.unit = "events/s";
-    fireN.ops = threaded.stats.fired;
-    fireN.wallSeconds = threaded.wall;
-    fireN.value =
-        static_cast<double>(threaded.stats.fired) / threaded.wall;
-    fireN.threads = par;
-    ms.push_back(fireN);
-
-    // Host-relative, so no calibration: the gate enforces its
-    // absolute >= 1.5x floor only when threads >= 4 (compare_bench.py
-    // skips the floor on smaller hosts, where the target cannot hold).
-    bench::MicroMetric speedup;
-    speedup.benchmark = "pdes_speedup_4t";
-    speedup.unit = "x";
-    speedup.ops = threaded.stats.fired;
-    speedup.wallSeconds = threaded.wall;
-    speedup.value = fireN.value / fire1.value;
-    speedup.threads = par;
-    ms.push_back(speedup);
-
-    // Conservative-sync overhead diagnostics (informational: these
-    // vary with host timing and are never gated).
-    bench::MicroMetric nulls;
-    nulls.benchmark = "pdes_null_ratio";
-    nulls.unit = "ratio";
-    nulls.ops = threaded.stats.nullPublishes;
-    nulls.wallSeconds = threaded.wall;
-    nulls.value = static_cast<double>(threaded.stats.nullPublishes) /
-                  static_cast<double>(threaded.stats.fired);
-    nulls.threads = par;
-    ms.push_back(nulls);
-
-    bench::MicroMetric stalls;
-    stalls.benchmark = "pdes_stall_ratio";
-    stalls.unit = "ratio";
-    stalls.ops = threaded.stats.stallRounds;
-    stalls.wallSeconds = threaded.wall;
-    stalls.value = static_cast<double>(threaded.stats.stallRounds) /
-                   static_cast<double>(threaded.stats.fired);
-    stalls.threads = par;
-    ms.push_back(stalls);
-
-    // Simulated quantity: bit-stable at any thread count, any host.
-    bench::MicroMetric events;
-    events.benchmark = "pdes_events";
-    events.unit = "count";
-    events.ops = serial.stats.fired;
-    events.wallSeconds = serial.wall;
-    events.value = static_cast<double>(serial.stats.fired);
-    ms.push_back(events);
-    return ms;
-}
-
-/** One measured run of the full partitioned-machine experiment. */
-struct MachineRun
-{
-    std::string serialized;
-    Tick execTicks = 0;
-    double wall = 0.0;
-};
-
-/**
- * One complete thrifty experiment on the paper's 64-node machine,
- * split into 8 cluster partitions and driven by @p threads engine
- * workers. This is the end-to-end answer the PHOLD fire-loop only
- * approximates: coherence traffic, barrier episodes, per-hop NoC
- * events and all.
- */
-MachineRun
-runMachineExperiment(unsigned threads, bool quick)
-{
-    harness::SystemConfig sys = harness::SystemConfig::paperDefault();
-    sys.seed = 1;
-    workloads::AppProfile app = workloads::appByName("Volrend");
-    app.iterations = quick ? 6 : 24;
-
-    harness::RunOptions ro;
-    ro.simThreads = threads;
-    ro.simPartitions = 8;
-
-    const auto t0 = Clock::now();
-    const harness::ExperimentResult r = harness::runExperiment(
-        sys, app, harness::ConfigKind::Thrifty, ro);
-    MachineRun out;
-    out.wall = secondsSince(t0);
-    out.execTicks = r.execTime;
-    out.serialized = harness::serializeResult(r);
-    return out;
-}
-
-/**
- * The machine-level PDES metric family. As with the fire loop, the
- * serialized result is cross-checked between every run and thread
- * count first — a mismatch is a determinism bug and fails the
- * benchmark, not the perf gate.
- */
-std::vector<bench::MicroMetric>
-machineMetrics(bool quick, unsigned reps, bool* ok)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned par = hw > 1 ? (hw < 4 ? hw : 4u) : 1u;
-
-    const auto bestAt = [&](unsigned threads,
-                            const std::string* reference) {
-        MachineRun best = runMachineExperiment(threads, quick);
-        for (unsigned i = 1; i < reps; ++i) {
-            const MachineRun r = runMachineExperiment(threads, quick);
-            if (r.serialized != best.serialized) {
-                std::cerr << "machine result drifted between "
-                             "repetitions\n";
-                *ok = false;
-            }
-            if (r.wall < best.wall)
-                best = r;
-        }
-        if (reference && best.serialized != *reference) {
-            std::cerr << "machine serial/threaded results diverged\n";
-            *ok = false;
-        }
-        return best;
-    };
-
-    const MachineRun serial = bestAt(1, nullptr);
-    const MachineRun threaded = bestAt(par, &serial.serialized);
-
-    std::vector<bench::MicroMetric> ms;
-    bench::MicroMetric speedup;
-    speedup.benchmark = "machine_pdes_speedup";
-    speedup.unit = "x";
-    speedup.ops = 1;
-    speedup.wallSeconds = threaded.wall;
-    speedup.value = serial.wall / threaded.wall;
-    speedup.threads = par;
-    ms.push_back(speedup);
-
-    // Simulated quantity: bit-stable at any thread count, any host.
-    bench::MicroMetric exec;
-    exec.benchmark = "machine_pdes_exec_ticks";
-    exec.unit = "ticks";
-    exec.ops = 1;
-    exec.wallSeconds = serial.wall;
-    exec.value = static_cast<double>(serial.execTicks);
-    ms.push_back(exec);
-    return ms;
-}
-
 /**
  * Best-of-N wrapper: transient host load only ever slows a
  * measurement down, so the max over a few repetitions is a far more
@@ -591,13 +294,6 @@ main(int argc, char** argv)
     }
     metrics.push_back(
         bestOf(reps, [&] { return barriersPerSecond(quick); }));
-    bool pdesOk = true;
-    for (const auto& m : pdesMetrics(quick, reps, &pdesOk))
-        metrics.push_back(m);
-    for (const auto& m : machineMetrics(quick, reps, &pdesOk))
-        metrics.push_back(m);
-    if (!pdesOk)
-        return 1;
 
     std::ostringstream out;
     for (const auto& m : metrics)

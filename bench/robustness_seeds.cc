@@ -54,14 +54,13 @@ pointSpace()
 }
 
 /**
- * Run one point's Baseline/Halt/Thrifty triple under the
- * @p sim_partitions plan (0 = default). The artifact is the
+ * Run one point's Baseline/Halt/Thrifty triple. The artifact is the
  * three campaign JSON lines followed by one `#metrics` trailer
  * carrying the savings/slowdown at full double precision, so the
  * cross-seed aggregation reproduces exactly from a stored replay.
  */
 std::string
-runPoint(const Point& p, std::size_t index, unsigned sim_partitions,
+runPoint(const Point& p, std::size_t index,
          harness::ObsCapture* capture)
 {
     using harness::ConfigKind;
@@ -80,7 +79,6 @@ runPoint(const Point& p, std::size_t index, unsigned sim_partitions,
     // pids stay unique (point index * 3 + config).
     const auto run_one = [&](ConfigKind k, std::size_t sub) {
         harness::RunOptions ro;
-        ro.simPartitions = sim_partitions;
         harness::ObsCapture::PointScope scope;
         if (capture)
             capture->arm(index * 3 + sub, &ro, &scope);
@@ -154,7 +152,6 @@ main(int argc, char** argv)
         harness::ObsCapture capture(opts, "seeds");
         std::fputs(runPoint(p,
                             static_cast<std::size_t>(opts.onlyPoint),
-                            opts.simPartitions,
                             capture.active() ? &capture : nullptr)
                        .c_str(),
                    stdout);
@@ -168,16 +165,13 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "seeds");
     harness::PointTask task;
     task.run = [&](std::size_t i) {
-        return runPoint(points[i], i, opts.simPartitions,
+        return runPoint(points[i], i,
                         capture.active() ? &capture : nullptr);
     };
-    harness::RunOptions plan;
-    plan.simPartitions = opts.simPartitions;
     task.key = [&](std::size_t i) {
-        return harness::fnv1a64(
-            "seeds|" + std::to_string(points[i].seed) + '|' +
-            points[i].app + "|parts=" +
-            std::to_string(harness::resolvedSimPartitions(plan)));
+        return harness::fnv1a64("seeds|" +
+                                std::to_string(points[i].seed) + '|' +
+                                points[i].app);
     };
     task.repro = [&](std::size_t i) {
         return "robustness_seeds --only-point " + std::to_string(i) +

@@ -10,7 +10,6 @@
 #   scripts/check_all.sh faults      # fault campaign only
 #   scripts/check_all.sh lint        # tblint static analysis only
 #   scripts/check_all.sh resume      # SIGINT mid-campaign, resume, diff
-#   scripts/check_all.sh pdes        # --sim-threads determinism matrix
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,15 +26,13 @@ Presets (default: all of them, in this order):
   thread       ThreadSanitizer test suite
   resume       interrupt a --journal campaign, --resume it, require a
                byte-identical artifact (docs/ROBUSTNESS.md)
-  pdes         --sim-threads 1/2/4/8 determinism matrix
-               (docs/PERFORMANCE.md, "Parallel simulation (PDES)")
 EOF
     exit 0
 fi
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-    presets=(lint check faults address undefined thread resume pdes)
+    presets=(lint check faults address undefined thread resume)
 fi
 
 run_preset() {
@@ -56,13 +53,10 @@ run_preset() {
       lint|resume)
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
         ;;
-      pdes)
-        flags=(-DCMAKE_BUILD_TYPE=Release)
-        ;;
       *)
         echo "unknown preset '$preset'" >&2
         echo "expected: lint, check, faults, address, undefined," \
-             "thread, resume or pdes" >&2
+             "thread or resume" >&2
         return 1
         ;;
     esac
@@ -83,16 +77,6 @@ run_preset() {
         else
             echo "clang++ not found: skipping TB_THREAD_SAFETY build"
         fi
-        return 0
-    fi
-    if [ "$preset" = pdes ]; then
-        # PDES determinism matrix (docs/PERFORMANCE.md): the same
-        # simulations at --sim-threads 1/2/4/8 must write
-        # byte-identical artifacts.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target thrifty_sim figure6_time
-        BUILD_DIR="$dir" OUT_DIR="$dir/pdes_determinism" \
-            scripts/pdes_determinism.sh
         return 0
     fi
     if [ "$preset" = resume ]; then

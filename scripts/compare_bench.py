@@ -23,17 +23,10 @@ Policy:
 * Metrics with unit "ticks" or "count" are simulated quantities and
   must be bit-identical per seed: any difference is a determinism
   failure, not a perf regression, and always fails regardless of
-  threshold.
-* Metrics with unit "x" (the PDES fire-loop speedup and the full
-  partitioned-machine speedup, machine_pdes_speedup) are host-relative
-  ratios: they are never calibration-normalized and never compared
-  against the baseline value (a 1-core baseline host legitimately
-  records ~1.0x). Instead they gate on an absolute floor
-  (``--speedup-floor``, default 1.5) — enforced only when the metric
-  line reports ``threads >= 4``, because the target cannot hold on
-  smaller hosts.
-* Metrics with unit "ratio" (null-message/stall overhead) are
-  host-timing diagnostics: printed for the reviewer, never gated.
+  threshold. Their ``ops`` field records how much was simulated
+  (``--quick`` simulates less), so when it differs between the files
+  the two runs were made in different modes and cannot be compared:
+  that is an error (exit 2), not a determinism failure.
 * Supervised campaigns emit one counter line per run
   (``"kind": "supervisor"``: retries, timeouts, isolated crashes,
   points replayed from a result store — see docs/ROBUSTNESS.md). Counters found in the
@@ -47,7 +40,8 @@ Policy:
   never gate: prediction accuracy is a property of the modeled
   predictor, not of the host.
 
-Exit status: 0 on pass, 1 on regression/mismatch, 2 on usage errors.
+Exit status: 0 on pass, 1 on regression/mismatch, 2 on usage errors
+and on a run compared against a baseline of another mode.
 """
 
 import argparse
@@ -56,10 +50,7 @@ import sys
 
 
 def load_metrics(path):
-    """Return {benchmark: (unit, value, threads)} for simcore lines.
-
-    ``threads`` is 0 for thread-independent metrics (field absent).
-    """
+    """Return {benchmark: (unit, value, ops)} for simcore lines."""
     metrics = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,7 +65,7 @@ def load_metrics(path):
                 if obj.get("campaign") != "simcore":
                     continue
                 metrics[obj["benchmark"]] = (obj["unit"], obj["value"],
-                                             obj.get("threads", 0))
+                                             obj.get("ops", 0))
     except OSError as e:
         sys.exit(f"compare_bench: cannot read {path}: {e}")
     if not metrics:
@@ -163,9 +154,6 @@ def main():
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max fractional throughput regression "
                          "(default 0.25)")
-    ap.add_argument("--speedup-floor", type=float, default=1.5,
-                    help="absolute floor for unit-'x' metrics measured "
-                         "with threads >= 4 (default 1.5)")
     args = ap.parse_args()
 
     base = load_metrics(args.baseline)
@@ -176,6 +164,16 @@ def main():
 
     if "calibration" not in base or "calibration" not in cur:
         sys.exit("compare_bench: both files need a 'calibration' metric")
+    modes = [f"{name} ({ops} vs {cur[name][2]} ops)"
+             for name, (unit, _val, ops) in sorted(base.items())
+             if unit in ("ticks", "count") and name in cur
+             and cur[name][2] != ops]
+    if modes:
+        print("compare_bench: mode mismatch: the baseline and the "
+              "current run simulated different amounts of work ("
+              + ", ".join(modes) + "); compare runs of one mode "
+              "(both --quick or both full)", file=sys.stderr)
+        return 2
     calib = cur["calibration"][1] / base["calibration"][1]
     print(f"host calibration ratio (current/baseline): {calib:.3f}")
     print(f"regression threshold: {args.threshold:.0%}\n")
@@ -186,7 +184,7 @@ def main():
     print("-" * len(header))
 
     failures = list(supervisor_failures)
-    for name, (unit, base_val, _base_thr) in sorted(base.items()):
+    for name, (unit, base_val, _base_ops) in sorted(base.items()):
         if name == "calibration":
             continue
         if name not in cur:
@@ -194,7 +192,7 @@ def main():
             print(f"{name:<28} {base_val:>12.4g} {'--':>12} {'--':>12} "
                   f"{'--':>8}  MISSING")
             continue
-        cur_unit, cur_val, cur_thr = cur[name]
+        cur_unit, cur_val, _cur_ops = cur[name]
         if cur_unit != unit:
             failures.append(
                 f"{name}: unit changed {unit} -> {cur_unit}")
@@ -208,29 +206,6 @@ def main():
                     f"{base_val:g} -> {cur_val:g} (must be bit-stable)")
             print(f"{name:<28} {base_val:>12.6g} {cur_val:>12.6g} "
                   f"{cur_val:>12.6g} {'--':>8}  {status}")
-            continue
-        if unit == "x":
-            # Host-relative speedup: no calibration, no baseline
-            # delta (the baseline host's core count sets its value).
-            # Gate on the absolute floor when measured with >= 4
-            # threads; report-only below that.
-            if cur_thr >= 4:
-                ok = cur_val >= args.speedup_floor
-                status = ("ok (floor)" if ok else "BELOW SPEEDUP FLOOR")
-                if not ok:
-                    failures.append(
-                        f"{name}: {cur_val:.2f}x at {cur_thr} threads "
-                        f"is below the {args.speedup_floor:.2f}x floor")
-            else:
-                status = f"info ({cur_thr} thread(s), floor waived)"
-            print(f"{name:<28} {base_val:>12.4g} {cur_val:>12.4g} "
-                  f"{cur_val:>12.4g} {'--':>8}  {status}")
-            continue
-        if unit == "ratio":
-            # Host-timing diagnostic (null-message/stall overhead):
-            # informational only.
-            print(f"{name:<28} {base_val:>12.4g} {cur_val:>12.4g} "
-                  f"{cur_val:>12.4g} {'--':>8}  info (not gated)")
             continue
         norm = cur_val / calib if calib > 0 else cur_val
         delta = norm / base_val - 1.0

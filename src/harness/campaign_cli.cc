@@ -18,8 +18,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s %s[--jobs N] [--sim-threads N] [--sim-partitions P]\n"
-        "       [--deadline-ms N] [--retries N]\n"
+        "usage: %s %s[--jobs N] [--deadline-ms N] [--retries N]\n"
         "       [--backoff-ms N] [--isolate] [--journal DIR] "
         "[--resume]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
@@ -104,21 +103,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 prog, "--jobs", value(i), allowQuick, UINT_MAX));
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
-        } else if (opt == "--sim-threads") {
-            o.simThreads = static_cast<unsigned>(optionU64(
-                prog, "--sim-threads", value(i), allowQuick, UINT_MAX));
-            if (o.simThreads == 0) {
-                usage(prog, "option --sim-threads: must be >= 1",
-                      allowQuick);
-            }
-        } else if (opt == "--sim-partitions") {
-            o.simPartitions = static_cast<unsigned>(
-                optionU64(prog, "--sim-partitions", value(i),
-                          allowQuick, UINT_MAX));
-            if (o.simPartitions == 0) {
-                usage(prog, "option --sim-partitions: must be >= 1",
-                      allowQuick);
-            }
         } else if (opt == "--deadline-ms") {
             o.policy.deadlineMs = optionU64(
                 prog, "--deadline-ms", value(i), allowQuick, kMaxOptionMs);
@@ -198,12 +182,6 @@ CampaignOptions::reproFlags() const
         flags += " --quick";
     if (policy.isolate)
         flags += " --isolate";
-    // Unlike --sim-threads, the partition count selects the
-    // simulation plan and so shapes results: a repro command must
-    // carry it. Left unset it means the serial default, which a
-    // repro command gets without the flag.
-    if (simPartitions != 0)
-        flags += " --sim-partitions " + std::to_string(simPartitions);
     return flags;
 }
 

@@ -10,11 +10,6 @@
  * week):
  *
  *   --jobs N          shard points over N worker threads
- *   --sim-threads N   PDES worker threads inside each simulation
- *                     (byte-identical results at any N; default 1)
- *   --sim-partitions P cluster partitions per simulation (selects the
- *                     simulation plan, so it IS part of each point's
- *                     identity; default 1 = serial)
  *   --deadline-ms N   per-point wall-clock deadline (0 = none)
  *   --retries N       extra attempts per failed point
  *   --backoff-ms N    base of the exponential retry backoff
@@ -74,22 +69,6 @@ constexpr std::uint64_t kMaxOptionMs = 7ull * 24 * 60 * 60 * 1000;
 struct CampaignOptions
 {
     SupervisorPolicy policy;
-    /**
-     * PDES worker threads per simulation (--sim-threads,
-     * harness/parallel_sim.hh). Like --jobs it never changes results,
-     * so it is excluded from point keys (and so from the result
-     * stores) and from reproFlags().
-     */
-    unsigned simThreads = 1;
-    /**
-     * Cluster partitions per simulation (--sim-partitions,
-     * RunOptions::simPartitions); 0 = the default plan, which is
-     * serial. Unlike simThreads this selects the simulation *plan* and
-     * can change results, so point keys carry the resolved count
-     * (resolvedSimPartitions: the default and an explicit 1 share a
-     * key) and reproFlags() carries an explicit count.
-     */
-    unsigned simPartitions = 0;
     std::string journalPath; ///< --journal store; "" = none
     bool resume = false;
     std::string outPath;      ///< "" = stdout only

@@ -179,25 +179,25 @@ struct RunOptions
      */
     Tick livenessBudget = 0;
     /**
+     * Perfbench only (its pdes.* probes); no command line sets it.
      * Worker threads driving this one simulation through the
      * conservative PDES engine (harness/parallel_sim.hh); 1 = the
      * serial reference engine. Never affects results — stats, traces
-     * and artifacts are byte-identical at any value — so it is NOT
-     * part of the experiment's identity (config hashes and result
-     * stores ignore it, exactly like --jobs).
+     * and artifacts are byte-identical at any value.
      */
     unsigned simThreads = 1;
     /**
+     * Perfbench only (its pdes.* probes); no command line sets it.
      * Cluster partitions the machine is split into for PDES execution
      * (harness/machine.hh); 0 = the default plan, which is one
      * partition (the serial plan) at every node count. On the 64-node
      * paper machine the 8-cluster plan fires about 0.05 events per
      * lookahead window and runs slower at every thread count
-     * (docs/PERFORMANCE.md), so a partitioned plan is opt-in. Unlike
-     * simThreads, the partition count IS part of the simulation plan:
-     * serial and partitioned plans order some bookkeeping differently,
-     * so runs only promise byte-identical results across simThreads
-     * *within* one partition count. Runs that need the serial plan
+     * (docs/PERFORMANCE.md). Unlike simThreads, the partition count
+     * IS part of the simulation plan: serial and partitioned plans
+     * order some bookkeeping differently, so runs only promise
+     * byte-identical results across simThreads *within* one
+     * partition count. Runs that need the serial plan
      * (checker, fault injection, structured tracing, hardening) force
      * 1 regardless. resolvedSimPartitions() gives the count a run
      * actually uses.
@@ -206,18 +206,16 @@ struct RunOptions
 };
 
 /**
- * Run @p app under configuration @p kind on a fresh machine built
- * from @p sys.
- */
-/**
  * Partition count runExperiment uses for @p options: 1 when the run
  * needs the serial plan (checker, faults, tracing, hardening), else
- * the explicit RunOptions::simPartitions, else 1. Campaign point keys
- * hash this value, so the default plan and an explicit
- * `--sim-partitions 1` share results and no other plan ever does.
+ * the explicit RunOptions::simPartitions, else 1.
  */
 unsigned resolvedSimPartitions(const RunOptions& options);
 
+/**
+ * Run @p app under configuration @p kind on a fresh machine built
+ * from @p sys.
+ */
 ExperimentResult runExperiment(const SystemConfig& sys,
                                const workloads::AppProfile& app,
                                ConfigKind kind,

@@ -11,7 +11,7 @@
  * in keyed mode at construction — before any component schedules —
  * which makes event ordering independent of which host thread merges
  * what when; a partitioned run produces byte-identical artifacts at
- * any --sim-threads count. Partitioned machines must be driven by
+ * any engine thread count. Partitioned machines must be driven by
  * harness::runMachinePdes (run() refuses), and serial-only instruments
  * (protocol checker) refuse to attach to them.
  */

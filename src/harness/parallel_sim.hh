@@ -1,9 +1,9 @@
 /**
  * @file
  * Multi-threaded single-simulation driver: runs one Machine under the
- * conservative PDES engine (sim/pdes.hh), selected by --sim-threads N
- * (workers) and --sim-partitions P (clusters) in thrifty_sim and the
- * campaign CLI.
+ * conservative PDES engine (sim/pdes.hh), selected by
+ * RunOptions::{simThreads,simPartitions}. No command line selects it;
+ * only perfbench's pdes.* probes still do (docs/PERFORMANCE.md).
  *
  * A partitioned Machine (harness/machine.hh) splits its nodes into
  * contiguous power-of-two clusters, one event queue each; this driver
@@ -20,9 +20,9 @@
  * produces byte-identical stats, traces and campaign artifacts — the
  * per-simulation analogue of what --jobs guarantees per sweep point.
  * Cluster queues run keyed (cluster, local order) event ordering, so
- * merge timing and host scheduling cannot reorder anything. The CI
- * pdes-determinism job diffs partitioned-machine artifacts at 1/2/4/8
- * threads. The partition count itself IS part of the plan: the serial
+ * merge timing and host scheduling cannot reorder anything
+ * (test_parallel_sim.cc checks this). The partition count itself IS
+ * part of the plan: the serial
  * (1-partition) and partitioned plans order some barrier bookkeeping
  * differently (docs/PERFORMANCE.md), so artifacts are compared across
  * threads, never across partition counts.

@@ -51,22 +51,6 @@ TEST(CampaignCliDeathTest, JobsOutOfRangeIsAUsageError)
                 testing::ExitedWithCode(2), "--jobs.*out of range");
 }
 
-TEST(CampaignCliDeathTest, SimThreadsOutOfRangeIsAUsageError)
-{
-    EXPECT_EQ(parseArgs({"--sim-threads", "4"}).simThreads, 4u);
-    EXPECT_EXIT(parseArgs({"--sim-threads", "4294967296"}),
-                testing::ExitedWithCode(2),
-                "--sim-threads.*out of range");
-}
-
-TEST(CampaignCliDeathTest, SimPartitionsOutOfRangeIsAUsageError)
-{
-    EXPECT_EQ(parseArgs({"--sim-partitions", "8"}).simPartitions, 8u);
-    EXPECT_EXIT(parseArgs({"--sim-partitions", "4294967296"}),
-                testing::ExitedWithCode(2),
-                "--sim-partitions.*out of range");
-}
-
 TEST(CampaignCliDeathTest, MillisecondsOutOfRangeIsAUsageError)
 {
     // A u64 of milliseconds overflows std::chrono::milliseconds and

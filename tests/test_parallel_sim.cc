@@ -51,8 +51,7 @@ TEST(ParallelSim, ThreadedDrainMatchesSerialFinalTick)
 /**
  * The determinism contract end to end: a real experiment run under
  * the PDES engine must serialize byte-identically to the serial
- * reference, episode ledger and all. This is the same invariant the
- * CI pdes-determinism job checks on whole campaign artifacts.
+ * reference, episode ledger and all.
  */
 TEST(ParallelSim, ExperimentResultsByteIdenticalAcrossThreadCounts)
 {

@@ -246,8 +246,7 @@ TEST(Pdes, TieBreakTotalOrder)
  * topology and workload (self-rescheduling events, cross-partition
  * sends at lookahead distance, cancelable sends with in-time and late
  * cancels) executed at 1/2/4 worker threads must produce identical
- * per-partition execution logs. This is the engine-level version of
- * the CI pdes-determinism artifact diff.
+ * per-partition execution logs.
  */
 TEST(Pdes, RandomizedSerialVsThreadedEquivalence)
 {

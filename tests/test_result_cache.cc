@@ -4,10 +4,9 @@
  * checksum-verified lookups with corrupted-entry eviction, two
  * processes writing one key, unusable cache directories degrading to
  * uncached (never failing the campaign), and — through
- * svc::runCampaignPoints — the warm-cache re-run
- * contract (zero simulations, byte-identical artifacts, even after
- * the cache directory is corrupted wholesale), point keys that carry
- * the resolved simulation plan, and the `--journal`/`--resume`
+ * svc::runCampaignPoints — the warm-cache re-run contract (zero
+ * simulations, byte-identical artifacts, even after the cache
+ * directory is corrupted wholesale) and the `--journal`/`--resume`
  * contract: a resume replays stored bytes verbatim, a run without
  * `--resume` writes the store but never reads it, and an unusable
  * `--journal` path is fatal.
@@ -26,14 +25,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "../bench/bench_util.hh"
 #include "harness/campaign_cli.hh"
-#include "harness/experiment.hh"
 #include "harness/posix_io.hh"
 #include "sim/logging.hh"
 #include "svc/distributed.hh"
 #include "svc/result_cache.hh"
-#include "workloads/app_profile.hh"
 
 namespace tb {
 namespace {
@@ -412,52 +408,6 @@ TEST(ResultCache, CorruptedCacheDirectoryRecovers)
     EXPECT_EQ(runs, runs3) << "healed cache serves hits again";
     EXPECT_EQ(healed.cache.hits, 3u);
     EXPECT_EQ(healed.results, first.results);
-}
-
-/**
- * Point identity carries the resolved simulation plan: results stored
- * under one partition count never answer for another, and the default
- * plan shares its results with an explicit `--sim-partitions 1`.
- */
-TEST(ResultCache, PointKeysCarryTheResolvedPlan)
-{
-    const harness::SystemConfig sys = harness::SystemConfig::small(4);
-    workloads::AppProfile app = workloads::appByName("Volrend");
-    app.iterations = 2;
-    const std::vector<workloads::AppProfile> apps{app};
-    const std::size_t count = bench::figureConfigs().size();
-
-    // Fill a store under `parts`, then replay it on the default plan.
-    const auto defaultRunHits = [&](unsigned parts,
-                                    const std::string& dir) {
-        harness::CampaignOptions fill;
-        fill.cacheDir = tempCacheDir(dir);
-        fill.simPartitions = parts;
-        const svc::CampaignRun filled = svc::runCampaignPoints(
-            fill, count,
-            bench::matrixPointTask(sys, apps, fill, "plan-test"),
-            nullptr, "plan-test");
-        EXPECT_TRUE(filled.report.ok());
-        EXPECT_EQ(filled.cache.stores, count);
-
-        harness::CampaignOptions replay;
-        replay.cacheDir = fill.cacheDir;
-        const svc::CampaignRun rerun = svc::runCampaignPoints(
-            replay, count,
-            bench::matrixPointTask(sys, apps, replay, "plan-test"),
-            nullptr, "plan-test");
-        EXPECT_TRUE(rerun.report.ok());
-        return rerun.cache.hits;
-    };
-
-    harness::RunOptions eight;
-    eight.simPartitions = 8;
-    // A checker-armed build runs every plan serially, so there the
-    // eight-partition request really is the default plan.
-    const bool eightRunsSerial =
-        harness::resolvedSimPartitions(eight) == 1;
-    EXPECT_EQ(defaultRunHits(8, "plan8"), eightRunsSerial ? count : 0u);
-    EXPECT_EQ(defaultRunHits(1, "plan1"), count);
 }
 
 /** Task whose point i returns "r:i:<gen>" and counts its runs. */

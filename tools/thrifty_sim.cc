@@ -60,15 +60,6 @@ usage(const char* argv0)
         "states (default all)\n"
         "  --three-hop        DASH-style direct owner-to-requester "
         "forwarding\n"
-        "  --sim-threads N    PDES worker threads driving the "
-        "simulation\n"
-        "                     (results byte-identical at any N; "
-        "default 1 = serial)\n"
-        "  --sim-partitions P cluster partitions of the machine "
-        "(power of two\n"
-        "                     dividing the node count; selects the "
-        "simulation plan;\n"
-        "                     default 1 = serial)\n"
         "  --faults SPEC      deterministic fault injection, e.g.\n"
         "                     seed=3,drop-wake=0.5,timer-drift=0.4 "
         "(see docs/ROBUSTNESS.md)\n"
@@ -152,8 +143,6 @@ main(int argc, char** argv)
     std::string config = "T";
     unsigned dim = 6;
     std::uint64_t seed = 1;
-    unsigned sim_threads = 1;
-    unsigned sim_partitions = 0;
     bool three_hop = false;
     bool check = false;
     bool dump_stats = false;
@@ -209,16 +198,6 @@ main(int argc, char** argv)
                           " out of range [1, 6] (2..64 nodes)");
             } else if (a == "--seed") {
                 seed = parseUnsignedArg("--seed", need(i), UINT64_MAX);
-            } else if (a == "--sim-threads") {
-                sim_threads = static_cast<unsigned>(parseUnsignedArg(
-                    "--sim-threads", need(i), UINT_MAX));
-                if (sim_threads == 0)
-                    fatal("option --sim-threads: must be >= 1");
-            } else if (a == "--sim-partitions") {
-                sim_partitions = static_cast<unsigned>(parseUnsignedArg(
-                    "--sim-partitions", need(i), UINT_MAX));
-                if (sim_partitions == 0)
-                    fatal("option --sim-partitions: must be >= 1");
             } else if (a == "--wakeup") {
                 const std::string v = need(i);
                 customized = true;
@@ -293,22 +272,13 @@ main(int argc, char** argv)
             } else if (a == "--compare") {
                 compare = true;
             } else {
-                usage(argv[0]);
-                fatal("unknown option '", a, "'");
+                // A usage error, like the campaign binaries' (exit 2).
+                std::fprintf(stderr,
+                             "%s: unknown option '%s' (try --help)\n",
+                             argv[0], a.c_str());
+                return 2;
             }
         }
-        // The machine only rejects a bad plan once it is built, which
-        // is after the report has started; catch it here instead.
-        const unsigned nodes = 1u << dim;
-        if ((sim_partitions & (sim_partitions - 1)) != 0 ||
-            sim_partitions > nodes) {
-            std::fprintf(stderr,
-                         "option --sim-partitions: %u is not a power "
-                         "of two dividing the %u nodes (try --help)\n",
-                         sim_partitions, nodes);
-            return 2;
-        }
-
         harness::SystemConfig sys = harness::SystemConfig::small(dim);
         sys.seed = seed;
         sys.memory.threeHopForwarding = three_hop;
@@ -318,8 +288,6 @@ main(int argc, char** argv)
 
         harness::RunOptions opt;
         opt.check = check;
-        opt.simThreads = sim_threads;
-        opt.simPartitions = sim_partitions;
 
         // Statistics flow through the visitor seam: --stats renders
         // the text report on stderr, --stats-json buffers a machine
