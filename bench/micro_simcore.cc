@@ -13,21 +13,29 @@
  *   - coherence_txn     end-to-end coherent store ping-pong rate
  *   - barriers          end-to-end thrifty-barrier instances per second
  * plus the *simulated* latency of one coherence transaction in ticks,
- * which is seed-deterministic and must never drift.
+ * which is seed-deterministic and must never drift, and one
+ * `"kind": "host"` line recording the host's core count.
+ *
+ * Each throughput metric repeats a fixed-size trial until at least
+ * 0.2 s (--quick) or 0.5 s of host time has passed, five times,
+ * interleaved with the other metrics, and reports the median.
  *
  * Every metric is one JSON line in the shared campaign shape
  * (bench_util.hh), so the output greps and diffs like the robustness
  * campaigns do.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -48,46 +56,65 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/** One trial's work: how many operations it completed. */
+using Trial = std::function<std::uint64_t()>;
+
+/**
+ * Run @p trial back to back until at least @p min_wall seconds of
+ * host time have passed: a fixed-size trial of a few milliseconds is
+ * too short to time on a shared host, a sample this long is not.
+ */
+bench::MicroMetric
+timed(const char* benchmark, const char* unit, double min_wall,
+      const Trial& trial)
+{
+    std::uint64_t ops = 0;
+    double wall = 0.0;
+    const auto t0 = Clock::now();
+    do {
+        ops += trial();
+        wall = secondsSince(t0);
+    } while (wall < min_wall);
+    bench::MicroMetric m;
+    m.benchmark = benchmark;
+    m.unit = unit;
+    m.ops = ops;
+    m.wallSeconds = wall;
+    m.value = static_cast<double>(ops) / wall;
+    return m;
+}
+
 /**
  * Host-speed calibration: a fixed xorshift64* chain. The perf gate
  * normalizes throughput metrics by the baseline/current calibration
  * ratio, so a slower CI runner does not read as a code regression.
  */
-bench::MicroMetric
-calibrate(bool quick)
+std::uint64_t
+calibrationTrial()
 {
-    const std::uint64_t iters = quick ? 40'000'000ull : 200'000'000ull;
+    const std::uint64_t iters = 10'000'000ull;
     std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
         x *= 0x2545f4914f6cdd1dull;
     }
-    const double wall = secondsSince(t0);
     // Keep the chain observable so the loop cannot be folded away.
     if (x == 0)
         std::cerr << "calibration degenerated\n";
-    bench::MicroMetric m;
-    m.benchmark = "calibration";
-    m.unit = "ops/s";
-    m.ops = iters;
-    m.wallSeconds = wall;
-    m.value = static_cast<double>(iters) / wall;
-    return m;
+    return iters;
 }
 
 /** Schedule/fire throughput: batches of short-lived events with mixed
  *  ticks and priorities, queue drained between batches. */
-bench::MicroMetric
-eqScheduleFire(bool quick)
+std::uint64_t
+eqScheduleFireTrial()
 {
-    const unsigned rounds = quick ? 12800 : 64000;
+    const unsigned rounds = 1000;
     const unsigned batch = 128;
     EventQueue eq;
     std::uint64_t fired = 0;
-    const auto t0 = Clock::now();
     for (unsigned r = 0; r < rounds; ++r) {
         const Tick base = eq.now();
         for (unsigned i = 0; i < batch; ++i) {
@@ -97,30 +124,22 @@ eqScheduleFire(bool quick)
         }
         eq.run();
     }
-    const double wall = secondsSince(t0);
-    bench::MicroMetric m;
-    m.benchmark = "eq_schedule_fire";
-    m.unit = "events/s";
-    m.ops = fired;
-    m.wallSeconds = wall;
-    m.value = static_cast<double>(fired) / wall;
-    return m;
+    return fired;
 }
 
 /** Cancel-heavy mix: half of each batch is canceled before the drain,
  *  exercising lazy cancelation and slot reuse. Ops counts schedules,
  *  cancels and fires. */
-bench::MicroMetric
-eqScheduleCancel(bool quick)
+std::uint64_t
+eqScheduleCancelTrial()
 {
-    const unsigned rounds = quick ? 400 : 2000;
+    const unsigned rounds = 50;
     const unsigned batch = 4096;
     EventQueue eq;
     std::uint64_t fired = 0;
     std::uint64_t ops = 0;
     std::vector<EventHandle> handles;
     handles.reserve(batch);
-    const auto t0 = Clock::now();
     for (unsigned r = 0; r < rounds; ++r) {
         handles.clear();
         const Tick base = eq.now();
@@ -134,30 +153,20 @@ eqScheduleCancel(bool quick)
         ops += batch + batch / 2;
         eq.run();
     }
-    ops += fired;
-    const double wall = secondsSince(t0);
-    bench::MicroMetric m;
-    m.benchmark = "eq_schedule_cancel";
-    m.unit = "events/s";
-    m.ops = ops;
-    m.wallSeconds = wall;
-    m.value = static_cast<double>(ops) / wall;
-    return m;
+    return ops + fired;
 }
 
-/** Coherent-store ping-pong between two nodes over the real network:
- *  every transaction is an Upgrade/GetX + invalidation round trip. */
-struct CoherenceResult
-{
-    bench::MicroMetric throughput;
-    bench::MicroMetric simLatency;
-};
+/** Transactions in one coherence trial. */
+constexpr std::uint64_t kCoherenceTxns = 20'000;
 
-CoherenceResult
-coherenceTxn(bool quick)
+/**
+ * Coherent-store ping-pong between two nodes over the real network:
+ * every transaction is an Upgrade/GetX + invalidation round trip.
+ * @p sim_ticks receives the trial's simulated duration.
+ */
+std::uint64_t
+coherenceTrial(Tick* sim_ticks)
 {
-    const std::uint64_t txns = quick ? 20'000 : 100'000;
-
     EventQueue eq;
     noc::NetworkConfig nc;
     nc.dimension = 1; // two nodes
@@ -167,7 +176,7 @@ coherenceTxn(bool quick)
 
     std::uint64_t done = 0;
     std::function<void()> next = [&]() {
-        if (done >= txns)
+        if (done >= kCoherenceTxns)
             return;
         const NodeId n = static_cast<NodeId>(done & 1);
         mem.controller(n).store(flag, done, [&]() {
@@ -175,79 +184,33 @@ coherenceTxn(bool quick)
             next();
         });
     };
-
-    const auto t0 = Clock::now();
     next();
     eq.run();
-    const double wall = secondsSince(t0);
-
-    CoherenceResult r;
-    r.throughput.benchmark = "coherence_txn";
-    r.throughput.unit = "txns/s";
-    r.throughput.ops = done;
-    r.throughput.wallSeconds = wall;
-    r.throughput.value = static_cast<double>(done) / wall;
-
-    // Simulated end-to-end latency: deterministic, must never drift.
-    r.simLatency.benchmark = "coherence_txn_sim_latency";
-    r.simLatency.unit = "ticks";
-    r.simLatency.ops = done;
-    r.simLatency.wallSeconds = wall;
-    r.simLatency.value =
-        static_cast<double>(eq.now()) / static_cast<double>(done);
-    return r;
+    *sim_ticks = eq.now();
+    return done;
 }
 
-/** End-to-end barriers per second: a full thrifty experiment on a
- *  small machine, measured by completed dynamic barrier instances. */
-bench::MicroMetric
-barriersPerSecond(bool quick)
+/** End-to-end barriers: one thrifty experiment on a small machine,
+ *  counted in completed dynamic barrier instances. */
+std::uint64_t
+barriersTrial()
 {
     workloads::AppProfile app = workloads::appByName("Radiosity");
     app.iterations = 50;
-
     harness::SystemConfig sys = harness::SystemConfig::small(2);
     sys.seed = 1;
-
-    // One experiment lasts ~a millisecond of host time; repeat until
-    // the sample is long enough to be stable.
-    const double minWall = quick ? 0.25 : 1.0;
-    std::uint64_t instances = 0;
-    const auto t0 = Clock::now();
-    double wall = 0.0;
-    do {
-        const harness::ExperimentResult r = harness::runExperiment(
-            sys, app, harness::ConfigKind::Thrifty);
-        instances += r.sync.instances;
-        wall = secondsSince(t0);
-    } while (wall < minWall);
-
-    bench::MicroMetric m;
-    m.benchmark = "barriers";
-    m.unit = "barriers/s";
-    m.ops = instances;
-    m.wallSeconds = wall;
-    m.value = static_cast<double>(instances) / wall;
-    return m;
+    return harness::runExperiment(sys, app, harness::ConfigKind::Thrifty)
+        .sync.instances;
 }
 
-/**
- * Best-of-N wrapper: transient host load only ever slows a
- * measurement down, so the max over a few repetitions is a far more
- * stable throughput estimate than any single run — that stability is
- * what lets the CI gate use a tight regression threshold.
- */
-template <typename F>
+/** The sample with the median value (reps is odd). */
 bench::MicroMetric
-bestOf(unsigned reps, F&& measure)
+median(std::vector<bench::MicroMetric> samples)
 {
-    bench::MicroMetric best = measure();
-    for (unsigned i = 1; i < reps; ++i) {
-        const bench::MicroMetric m = measure();
-        if (m.value > best.value)
-            best = m;
-    }
-    return best;
+    std::sort(samples.begin(), samples.end(),
+              [](const bench::MicroMetric& a,
+                 const bench::MicroMetric& b) { return a.value < b.value; });
+    return samples[samples.size() / 2];
 }
 
 } // namespace
@@ -270,34 +233,72 @@ main(int argc, char** argv)
         }
     }
 
-    const unsigned reps = 3;
-    std::vector<bench::MicroMetric> metrics;
-    metrics.push_back(bestOf(reps, [&] { return calibrate(quick); }));
-    metrics.push_back(
-        bestOf(reps, [&] { return eqScheduleFire(quick); }));
-    metrics.push_back(
-        bestOf(reps, [&] { return eqScheduleCancel(quick); }));
-    {
-        CoherenceResult best = coherenceTxn(quick);
-        for (unsigned i = 1; i < reps; ++i) {
-            const CoherenceResult c = coherenceTxn(quick);
-            if (c.simLatency.value != best.simLatency.value) {
-                std::cerr << "coherence_txn_sim_latency drifted "
-                             "between repetitions\n";
-                return 1;
-            }
-            if (c.throughput.value > best.throughput.value)
-                best.throughput = c.throughput;
+    // Every metric runs once per round and the rounds repeat, so a
+    // burst of host load lands on one sample of each metric instead
+    // of every sample of one; each metric reports its median sample.
+    const unsigned reps = 5;
+    const double min_wall = quick ? 0.2 : 0.5;
+    Tick sim_ticks = 0;
+    const Trial coherence = [&]() {
+        Tick ticks = 0;
+        const std::uint64_t n = coherenceTrial(&ticks);
+        if (sim_ticks != 0 && ticks != sim_ticks) {
+            std::cerr << "coherence_txn_sim_latency drifted between "
+                         "trials\n";
+            std::exit(1);
         }
-        metrics.push_back(best.throughput);
-        metrics.push_back(best.simLatency);
+        sim_ticks = ticks;
+        return n;
+    };
+    struct Spec
+    {
+        const char* benchmark;
+        const char* unit;
+        Trial trial;
+    };
+    const std::vector<Spec> specs = {
+        {"calibration", "ops/s", calibrationTrial},
+        {"eq_schedule_fire", "events/s", eqScheduleFireTrial},
+        {"eq_schedule_cancel", "events/s", eqScheduleCancelTrial},
+        {"coherence_txn", "txns/s", coherence},
+        {"barriers", "barriers/s", barriersTrial},
+    };
+    std::vector<std::vector<bench::MicroMetric>> samples(specs.size());
+    for (unsigned r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            samples[i].push_back(timed(specs[i].benchmark, specs[i].unit,
+                                       min_wall, specs[i].trial));
+        }
     }
-    metrics.push_back(
-        bestOf(reps, [&] { return barriersPerSecond(quick); }));
+
+    std::vector<bench::MicroMetric> metrics;
+    for (auto& s : samples)
+        metrics.push_back(median(std::move(s)));
+    // Simulated end-to-end latency of one transaction: deterministic,
+    // must never drift.
+    bench::MicroMetric latency;
+    latency.benchmark = "coherence_txn_sim_latency";
+    latency.unit = "ticks";
+    latency.ops = kCoherenceTxns;
+    latency.value = static_cast<double>(sim_ticks) /
+                    static_cast<double>(kCoherenceTxns);
+    metrics.push_back(latency);
 
     std::ostringstream out;
     for (const auto& m : metrics)
         bench::printMicroJson(out, m);
+    // The host the numbers came from: the gate prints it next to the
+    // baseline's, since a throughput baseline means little without it.
+    obs::JsonWriter host(out);
+    host.beginObject();
+    host.field("campaign", "simcore")
+        .field("kind", "host")
+        .field("nproc", static_cast<std::uint64_t>(
+                            std::thread::hardware_concurrency()))
+        .field("reps", static_cast<std::uint64_t>(reps))
+        .field("min_wall_s", min_wall);
+    host.endObject();
+    out << '\n';
     std::cout << out.str();
 
     if (!jsonPath.empty()) {

@@ -33,6 +33,9 @@ Policy:
   current file are printed next to the metrics; a supervisor line
   reporting failed or unfinished points fails the comparison, since
   metrics from a partially-failed campaign are not trustworthy.
+* micro_simcore ends with one ``"kind": "host"`` line recording the
+  host's core count (``nproc``). The script prints the baseline's and
+  the current run's next to each other; it never gates on them.
 * Campaigns run with ``--stats-json`` also print one
   ``"kind": "prediction"`` line summarizing barrier-prediction
   accuracy (episodes, early/late wake split, mean absolute BIT error —
@@ -62,7 +65,8 @@ def load_metrics(path):
                     obj = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if obj.get("campaign") != "simcore":
+                if obj.get("campaign") != "simcore" or \
+                        "benchmark" not in obj:
                     continue
                 metrics[obj["benchmark"]] = (obj["unit"], obj["value"],
                                              obj.get("ops", 0))
@@ -175,6 +179,10 @@ def main():
               "(both --quick or both full)", file=sys.stderr)
         return 2
     calib = cur["calibration"][1] / base["calibration"][1]
+    cores = [next((h.get("nproc") for h in load_kind_lines(path, "host")),
+                  "unrecorded")
+             for path in (args.baseline, args.current)]
+    print(f"host cores: baseline {cores[0]}, current {cores[1]}")
     print(f"host calibration ratio (current/baseline): {calib:.3f}")
     print(f"regression threshold: {args.threshold:.0%}\n")
 

@@ -202,7 +202,7 @@ Cpu::becomeActive()
             Tick burst = faults->preemptionBurst(nodeId);
             if (burst > 0) {
                 statsGroup.scalar("faultPreemptionBursts").inc();
-                eq.scheduleIn(burst, [this, cb = std::move(cb)]() {
+                eq.scheduleIn(burst, [this, cb = std::move(cb)]() mutable {
                     cb(wakeReason);
                 });
                 return;

@@ -23,7 +23,6 @@
 #ifndef TB_CPU_CPU_HH_
 #define TB_CPU_CPU_HH_
 
-#include <functional>
 #include <string>
 
 #include "mem/cache_controller.hh"
@@ -55,7 +54,8 @@ class Cpu : public SimObject
   public:
     /** Callback invoked when the CPU is Active again after a sleep
      *  episode (exactly once per episode). */
-    using OnWake = std::function<void(mem::WakeReason)>;
+    using OnWake =
+        InlineFunction<void(mem::WakeReason), kContinuationBytes>;
 
     Cpu(EventQueue& queue, NodeId node, mem::CacheController& controller,
         const power::PowerParams& params, std::string name);

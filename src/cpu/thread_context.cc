@@ -15,26 +15,25 @@ ThreadContext::ThreadContext(EventQueue& queue, ThreadId tid, Cpu& cpu,
 {}
 
 void
-ThreadContext::compute(Tick duration, std::function<void()> cont)
+ThreadContext::compute(Tick duration, Continuation cont)
 {
     eq.scheduleIn(duration, std::move(cont));
 }
 
 void
-ThreadContext::load(Addr a, std::function<void(std::uint64_t)> cont)
+ThreadContext::load(Addr a, ValueContinuation cont)
 {
     ctrl.load(a, std::move(cont));
 }
 
 void
-ThreadContext::store(Addr a, std::uint64_t v, std::function<void()> cont)
+ThreadContext::store(Addr a, std::uint64_t v, Continuation cont)
 {
     ctrl.store(a, v, std::move(cont));
 }
 
 void
-ThreadContext::atomic(Addr a, std::function<std::uint64_t(Tick)> op,
-                      std::function<void(std::uint64_t)> cont)
+ThreadContext::atomic(Addr a, mem::RmwOp op, ValueContinuation cont)
 {
     ctrl.atomicRmw(a, std::move(op), std::move(cont));
 }

@@ -14,11 +14,11 @@
 #ifndef TB_CPU_THREAD_CONTEXT_HH_
 #define TB_CPU_THREAD_CONTEXT_HH_
 
-#include <functional>
 #include <string>
 
 #include "cpu/cpu.hh"
 #include "mem/cache_controller.hh"
+#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -37,20 +37,19 @@ class ThreadContext : public SimObject
     mem::CacheController& controller() { return ctrl; }
 
     /** Busy-compute for @p duration ticks, then continue. */
-    void compute(Tick duration, std::function<void()> cont);
+    void compute(Tick duration, Continuation cont);
 
     /** Coherent load; @p cont receives the value. */
-    void load(Addr a, std::function<void(std::uint64_t)> cont);
+    void load(Addr a, ValueContinuation cont);
 
     /** Coherent store. */
-    void store(Addr a, std::uint64_t v, std::function<void()> cont);
+    void store(Addr a, std::uint64_t v, Continuation cont);
 
     /**
      * Atomic fetch-op at @p a's home; @p op receives the home's tick
      * at the serialization point, @p cont gets the old value.
      */
-    void atomic(Addr a, std::function<std::uint64_t(Tick)> op,
-                std::function<void(std::uint64_t)> cont);
+    void atomic(Addr a, mem::RmwOp op, ValueContinuation cont);
 
     /**
      * Mark this thread finished; used by the run loop to detect

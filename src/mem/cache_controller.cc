@@ -74,8 +74,7 @@ CacheController::store(Addr a, std::uint64_t v, DoneCallback done)
 }
 
 void
-CacheController::atomicRmw(Addr a, std::function<std::uint64_t(Tick)> op,
-                           LoadCallback done)
+CacheController::atomicRmw(Addr a, RmwOp op, LoadCallback done)
 {
     Pending p;
     p.kind = Pending::Kind::Rmw;
@@ -107,7 +106,7 @@ CacheController::startAccess(Pending p)
             // The word address rides along so the home (and an attached
             // checker) can attribute the fetch-op's effect.
             m.storeAddr = pending->addr;
-            m.rmwOp = pending->rmwOp;
+            m.rmwOp = std::move(pending->rmwOp);
             sendToDir(std::move(m));
         });
         return;
@@ -117,21 +116,21 @@ CacheController::startAccess(Pending p)
         const Addr line = pending->line;
         CacheArray::Line* e1 = l1.find(line);
         const bool is_store = pending->kind == Pending::Kind::Store;
-        if (e1 && (!is_store || writable(e1->state))) {
+        if (e1 && (!is_store || writable(e1->state()))) {
             hot.l1Hits.inc();
             l1.touch(*e1);
-            if (is_store && e1->state == LineState::Exclusive) {
+            if (is_store && e1->state() == LineState::Exclusive) {
                 // Silent E -> M upgrade, mirrored in L2.
-                e1->state = LineState::Modified;
+                l1.setState(*e1, LineState::Modified);
                 CacheArray::Line* e2 = l2.find(line);
                 if (!e2)
                     panic(name(), ": inclusion violated for line ", line);
-                e2->state = LineState::Modified;
+                l2.setState(*e2, LineState::Modified);
             } else if (is_store) {
                 CacheArray::Line* e2 = l2.find(line);
                 if (!e2)
                     panic(name(), ": inclusion violated for line ", line);
-                e2->state = LineState::Modified;
+                l2.setState(*e2, LineState::Modified);
             }
             if (is_store)
                 noteLine(line, LineState::Modified);
@@ -150,14 +149,14 @@ CacheController::lookupL2(Addr line)
     CacheArray::Line* e2 = l2.find(line);
     const bool is_store = pending->kind == Pending::Kind::Store;
 
-    if (e2 && (!is_store || writable(e2->state))) {
+    if (e2 && (!is_store || writable(e2->state()))) {
         hot.l2Hits.inc();
         l2.touch(*e2);
         if (is_store) {
-            e2->state = LineState::Modified;
+            l2.setState(*e2, LineState::Modified);
             noteLine(line, LineState::Modified);
         }
-        fillL1(line, e2->state);
+        fillL1(line, e2->state());
         completePending();
         return;
     }
@@ -193,7 +192,7 @@ void
 CacheController::fillL1(Addr line, LineState state)
 {
     if (CacheArray::Line* e1 = l1.find(line)) {
-        e1->state = state;
+        l1.setState(*e1, state);
         l1.touch(*e1);
         return;
     }
@@ -225,7 +224,7 @@ CacheController::fillBoth(Addr line, LineState state)
     if (l2.find(line)) {
         // Only reachable for UpgradeAck races; refresh the state.
         CacheArray::Line* e2 = l2.find(line);
-        e2->state = state;
+        l2.setState(*e2, state);
         l2.touch(*e2);
     } else {
         handleL2Victim(l2.insert(line, state));
@@ -377,7 +376,7 @@ CacheController::handleFwd(const Msg& msg)
     // from the (never-gated) controller tags; dirty data requires the
     // cache array, so wake the CPU and serve when it is accessible.
     const CacheArray::Line* e2 = l2.find(msg.line);
-    const bool dirty_in_cache = e2 && e2->state == LineState::Modified;
+    const bool dirty_in_cache = e2 && e2->state() == LineState::Modified;
     if (!dirty_in_cache) {
         serveFwd(msg);
         return;
@@ -401,13 +400,13 @@ CacheController::serveFwd(const Msg& msg)
     const bool is_gets = msg.type == MsgType::FwdGetS;
     CacheArray::Line* e2 = l2.find(line);
 
-    if (e2 && e2->state == LineState::Modified) {
+    if (e2 && e2->state() == LineState::Modified) {
         std::uint64_t kept = 0;
         if (is_gets) {
             // Owner keeps a Shared copy and supplies the data.
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = 1;
         } else {
@@ -426,15 +425,15 @@ CacheController::serveFwd(const Msg& msg)
         return;
     }
 
-    if (e2 && e2->state == LineState::Exclusive) {
+    if (e2 && e2->state() == LineState::Exclusive) {
         // Clean exclusive: memory is current. On FwdGetS downgrade to
         // Shared and keep the copy (kept flag travels in rmwOld); on
         // FwdGetX relinquish it.
         std::uint64_t kept = 0;
         if (is_gets) {
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = 1;
         } else {
@@ -466,13 +465,13 @@ CacheController::serveFwdThreeHop(const Msg& msg)
     }
 
     const bool dirty =
-        in_wb || (e2 && e2->state == LineState::Modified);
+        in_wb || (e2 && e2->state() == LineState::Modified);
     bool kept = false;
     if (e2) {
         if (is_gets) {
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = true;
         } else {
@@ -521,7 +520,7 @@ CacheController::dropLine(Addr line)
 // ----------------------------------------------------------------------
 
 void
-CacheController::watchLine(Addr a, std::function<void()> on_inval)
+CacheController::watchLine(Addr a, Continuation on_inval)
 {
     watches[lineAddr(a)].push_back(std::move(on_inval));
 }
@@ -538,7 +537,7 @@ CacheController::fireWatches(Addr line)
     auto it = watches.find(line);
     if (it == watches.end())
         return;
-    std::vector<std::function<void()>> cbs = std::move(it->second);
+    std::vector<Continuation> cbs = std::move(it->second);
     watches.erase(it);
     for (auto& cb : cbs)
         cb();
@@ -550,11 +549,12 @@ CacheController::fireWatches(Addr line)
 
 void
 CacheController::armFlagMonitor(Addr a, std::uint64_t want,
-                                std::function<void(bool)> done)
+                                MonitorCallback done)
 {
     // The monitor logic reads the flag through the cache, installing a
     // shared copy; the release's invalidation then reaches this node.
-    load(a, [this, a, want, done = std::move(done)](std::uint64_t v) {
+    load(a, [this, a, want,
+             done = std::move(done)](std::uint64_t v) mutable {
         if (v == want) {
             done(true); // already flipped: the CPU must not sleep
             return;
@@ -690,11 +690,9 @@ void
 CacheController::flushDirtyShared(DoneCallback done)
 {
     std::vector<Addr> to_flush;
-    l2.forEachValid([&](CacheArray::Line& e) {
-        if (e.state == LineState::Modified &&
-            fabric.addressMap().isShared(e.addr)) {
+    l2.forEachModified([&](CacheArray::Line& e) {
+        if (fabric.addressMap().isShared(e.addr))
             to_flush.push_back(e.addr);
-        }
     });
 
     for (Addr line : to_flush) {
@@ -745,14 +743,14 @@ LineState
 CacheController::l1State(Addr a) const
 {
     const CacheArray::Line* e = l1.find(lineAddr(a));
-    return e ? e->state : LineState::Invalid;
+    return e ? e->state() : LineState::Invalid;
 }
 
 LineState
 CacheController::l2State(Addr a) const
 {
     const CacheArray::Line* e = l2.find(lineAddr(a));
-    return e ? e->state : LineState::Invalid;
+    return e ? e->state() : LineState::Invalid;
 }
 
 } // namespace mem

@@ -25,7 +25,6 @@
 #define TB_MEM_CACHE_CONTROLLER_HH_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -39,6 +38,7 @@
 #include "mem/protocol_observer.hh"
 #include "sim/event_queue.hh"
 #include "sim/hooks.hh"
+#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -83,14 +83,18 @@ struct ControllerConfig
 class CacheController : public SimObject, public MsgSink
 {
   public:
-    using LoadCallback = std::function<void(std::uint64_t)>;
-    using DoneCallback = std::function<void()>;
+    using LoadCallback = ValueContinuation;
+    using DoneCallback = Continuation;
+    /** Flag-monitor arming result: true if the flag already flipped. */
+    using MonitorCallback =
+        InlineFunction<void(bool), kContinuationBytes>;
     /**
      * Wake request handler installed by the CPU model. Must initiate
      * a wake-up (idempotent) and return the tick at which the cache
      * becomes accessible again (== now if already awake).
      */
-    using WakeHandler = std::function<Tick(WakeReason)>;
+    using WakeHandler =
+        InlineFunction<Tick(WakeReason), kContinuationBytes>;
 
     /**
      * @param hooks machine-wide instrumentation seams (checker, fault
@@ -130,8 +134,7 @@ class CacheController : public SimObject, public MsgSink
      * (models a fetch-op). @p op runs exactly once at the
      * serialization point; @p done receives the pre-op value.
      */
-    void atomicRmw(Addr a, std::function<std::uint64_t(Tick)> op,
-                   LoadCallback done);
+    void atomicRmw(Addr a, RmwOp op, LoadCallback done);
 
     /** True while a demand access is outstanding. */
     bool busy() const { return pending.has_value(); }
@@ -146,7 +149,7 @@ class CacheController : public SimObject, public MsgSink
      * spinloop that hits in the cache until the coherence protocol
      * yanks the line. Multiple watchers per line are allowed.
      */
-    void watchLine(Addr a, std::function<void()> on_inval);
+    void watchLine(Addr a, Continuation on_inval);
 
     /** Remove all watches on @p a's line. */
     void clearWatches(Addr a);
@@ -162,8 +165,7 @@ class CacheController : public SimObject, public MsgSink
      * must not sleep; otherwise the monitor stays armed and an
      * invalidation of the flag line triggers wakeUp(ExternalFlag).
      */
-    void armFlagMonitor(Addr a, std::uint64_t want,
-                        std::function<void(bool)> done);
+    void armFlagMonitor(Addr a, std::uint64_t want, MonitorCallback done);
 
     /** Disarm the flag monitor (no-op if not armed). */
     void disarmFlagMonitor();
@@ -253,7 +255,7 @@ class CacheController : public SimObject, public MsgSink
         /** Tick the access was issued (trace span start). */
         Tick startTick = 0;
         std::uint64_t storeValue = 0;
-        std::function<std::uint64_t(Tick)> rmwOp;
+        RmwOp rmwOp;
         LoadCallback loadDone;
         DoneCallback storeDone;
     };
@@ -347,7 +349,7 @@ class CacheController : public SimObject, public MsgSink
     std::optional<Pending> pending;
     /** Dirty lines evicted/flushed, awaiting WbAck from home. */
     std::unordered_set<Addr> wbBuffer;
-    std::unordered_map<Addr, std::vector<std::function<void()>>> watches;
+    std::unordered_map<Addr, std::vector<Continuation>> watches;
 
     FlagMonitor flagMon;
     EventHandle wakeTimer;

@@ -64,20 +64,55 @@ Directory::send(NodeId dst, Msg msg)
 }
 
 void
+Directory::pushWait(LineDir& ld, const Msg& msg)
+{
+    std::uint32_t idx = waitFree;
+    if (idx == kNoWait) {
+        idx = static_cast<std::uint32_t>(waitPool.size());
+        waitPool.emplace_back();
+    } else {
+        waitFree = waitPool[idx].next;
+    }
+    WaitNode& node = waitPool[idx];
+    node.msg = msg;
+    node.next = kNoWait;
+    if (ld.waitTail == kNoWait)
+        ld.waitHead = idx;
+    else
+        waitPool[ld.waitTail].next = idx;
+    ld.waitTail = idx;
+}
+
+void
+Directory::popWait(LineDir& ld, Msg& out)
+{
+    const std::uint32_t idx = ld.waitHead;
+    WaitNode& node = waitPool[idx];
+    out = std::move(node.msg);
+    ld.waitHead = node.next;
+    if (ld.waitHead == kNoWait)
+        ld.waitTail = kNoWait;
+    node.next = waitFree;
+    waitFree = idx;
+}
+
+void
 Directory::receive(const Msg& msg)
 {
+    LineDir& ld = lines[msg.line];
     if (protocolTraced(msg.line)) {
+        std::size_t queued = 0;
+        for (std::uint32_t i = ld.waitHead; i != kNoWait;
+             i = waitPool[i].next)
+            ++queued;
         fprintf(stderr,
                 "[%12lu] dir%u  <- %-13s from %u (state=%d sharers=%lx "
                 "owner=%d busy=%d queue=%zu)\n",
                 curTick(), nodeId, msgTypeName(msg.type), msg.src,
-                static_cast<int>(lines[msg.line].state),
-                lines[msg.line].sharers,
-                static_cast<int>(lines[msg.line].owner),
-                static_cast<int>(lines[msg.line].busy),
-                lines[msg.line].waiting.size());
+                static_cast<int>(ld.state), ld.sharers,
+                static_cast<int>(ld.owner), static_cast<int>(ld.busy),
+                queued);
     }
-    LineDir& ld = lines[msg.line];
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:
@@ -85,8 +120,8 @@ Directory::receive(const Msg& msg)
       case MsgType::PutM:
       case MsgType::AtomicRmw:
         hot.requests.inc();
-        ld.waiting.push_back(msg);
-        tryStart(msg.line);
+        pushWait(ld, msg);
+        tryStart(msg.line, ld);
         break;
 
       case MsgType::OwnerData:
@@ -109,17 +144,15 @@ Directory::receive(const Msg& msg)
 }
 
 void
-Directory::tryStart(Addr line)
+Directory::tryStart(Addr line, LineDir& ld)
 {
     // Iterative so back-to-back zero-latency completions (e.g.\ stale
     // PutMs) do not recurse.
     for (;;) {
-        LineDir& ld = lines[line];
-        if (ld.busy || ld.waiting.empty())
+        if (ld.busy || ld.waitHead == kNoWait)
             return;
         ld.busy = true;
-        ld.cur = std::move(ld.waiting.front());
-        ld.waiting.pop_front();
+        popWait(ld, ld.cur);
         ld.pendingAcks = 0;
         ld.waitingOwner = false;
         ld.waitingMem = false;
@@ -129,7 +162,7 @@ Directory::tryStart(Addr line)
         // If start() completed synchronously, busy was cleared and the
         // loop dispatches the next queued request; otherwise we are
         // waiting on a response and return here.
-        if (lines[line].busy)
+        if (ld.busy)
             return;
     }
 }
@@ -159,8 +192,7 @@ void
 Directory::readMem(Addr line, LineDir& ld)
 {
     ld.waitingMem = true;
-    dram.read([this, line]() {
-        LineDir& l = lines[line];
+    dram.read([this, line, &l = ld]() {
         l.waitingMem = false;
         if (l.cur.type == MsgType::GetS) {
             // Memory read on the GetS path only happens when the
@@ -287,8 +319,7 @@ Directory::maybeFinishWrite(Addr line, LineDir& ld)
     const NodeId r = ld.cur.src;
     if (ld.cur.type == MsgType::AtomicRmw) {
         // All copies are gone; execute the fetch-op at home memory.
-        dram.read([this, line]() {
-            LineDir& l = lines[line];
+        dram.read([this, line, &l = ld]() {
             const NodeId req = l.cur.src;
             std::uint64_t old = 0;
             if (l.cur.rmwOp)
@@ -455,7 +486,7 @@ Directory::finish(Addr line, LineDir& ld)
     ld.cur = Msg{};
     if (auto* ob = checkObs())
         ob->onDirStable(line, ld.state, ld.sharers, ld.owner);
-    tryStart(line);
+    tryStart(line, ld);
 }
 
 } // namespace mem

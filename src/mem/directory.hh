@@ -20,9 +20,9 @@
 #define TB_MEM_DIRECTORY_HH_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/backend.hh"
 #include "mem/dram.hh"
@@ -83,6 +83,8 @@ class Directory : public SimObject, public MsgSink
     const stats::StatGroup& statistics() const { return statsGroup; }
 
   private:
+    static constexpr std::uint32_t kNoWait = ~std::uint32_t{0};
+
     struct LineDir
     {
         DirState state = DirState::Uncached;
@@ -90,7 +92,10 @@ class Directory : public SimObject, public MsgSink
         NodeId owner = kInvalidNode;
 
         bool busy = false;
-        std::deque<Msg> waiting;
+        /** FIFO of requests queued behind the in-flight transaction:
+         *  first and last waitPool index (kNoWait when empty). */
+        std::uint32_t waitHead = kNoWait;
+        std::uint32_t waitTail = kNoWait;
 
         // In-flight transaction context.
         Msg cur;
@@ -101,10 +106,23 @@ class Directory : public SimObject, public MsgSink
         bool grantUpgrade = false;
     };
 
+    /** One queued request: a waitPool node, linked per line. */
+    struct WaitNode
+    {
+        Msg msg;
+        std::uint32_t next = kNoWait;
+    };
+
     static std::uint64_t bit(NodeId n) { return std::uint64_t{1} << n; }
 
+    /** Append @p msg to @p ld's wait queue. */
+    void pushWait(LineDir& ld, const Msg& msg);
+
+    /** Remove the head of @p ld's (non-empty) wait queue into @p out. */
+    void popWait(LineDir& ld, Msg& out);
+
     /** Start the next queued transaction if the line is idle. */
-    void tryStart(Addr line);
+    void tryStart(Addr line, LineDir& ld);
 
     /** Dispatch the transaction at the head of @p ld's queue. */
     void start(Addr line, LineDir& ld);
@@ -149,7 +167,14 @@ class Directory : public SimObject, public MsgSink
     Fabric& fabric;
     Backend& backend;
     Dram& dram;
+    /** Per-line state. Entries are never erased, so a LineDir&
+     *  stays valid for the directory's lifetime (rehashing moves no
+     *  node), and a DRAM completion can carry it. */
     std::unordered_map<Addr, LineDir> lines;
+    /** Storage of every line's wait queue; nodes are recycled through
+     *  waitFree, so after warm-up queueing allocates nothing. */
+    std::vector<WaitNode> waitPool;
+    std::uint32_t waitFree = kNoWait;
     /** Machine-wide instrumentation seams (may be null). */
     const Hooks* hooks_;
     stats::StatGroup statsGroup;

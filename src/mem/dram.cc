@@ -23,7 +23,7 @@ Dram::reserveBus(Tick earliest)
 }
 
 void
-Dram::read(std::function<void()> done)
+Dram::read(Continuation done)
 {
     hot.reads.inc();
     const Tick data_ready = curTick() + cfg.accessLatency;

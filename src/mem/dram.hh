@@ -12,9 +12,9 @@
 #ifndef TB_MEM_DRAM_HH_
 #define TB_MEM_DRAM_HH_
 
-#include <functional>
 
 #include "sim/hooks.hh"
+#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -42,7 +42,7 @@ class Dram : public SimObject
      * Perform a line read; @p done runs when the data is on its way
      * (array access + bus transfer, with bus contention).
      */
-    void read(std::function<void()> done);
+    void read(Continuation done);
 
     /**
      * Perform a line write (fire and forget): occupies the bus but

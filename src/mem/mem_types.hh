@@ -106,6 +106,15 @@ enum class MsgType : std::uint8_t
 /** Human-readable message-type name. */
 const char* msgTypeName(MsgType t);
 
+/**
+ * A fetch-op executed at the home memory (see Msg::rmwOp). Msg is
+ * copied (the directory queues it by value, interventions re-send
+ * it), so the op must be copyable, which the move-only
+ * InlineFunction is not.
+ */
+// tblint-allow(TBL025): Msg is copyable, so its fetch-op must be too
+using RmwOp = std::function<std::uint64_t(Tick)>;
+
 /** One coherence message. Data never travels (a global value backend
  *  holds memory contents); only the size is charged to the network. */
 struct Msg
@@ -147,7 +156,7 @@ struct Msg
      * this stands in for a fetch-op executed at the home memory
      * controller (DESIGN.md section 6).
      */
-    std::function<std::uint64_t(Tick)> rmwOp;
+    RmwOp rmwOp;
 
     /** Network payload size in bytes for this message type. */
     unsigned bytes() const;

@@ -7,7 +7,7 @@ namespace mem {
 
 MemorySystem::MemorySystem(EventQueue& queue, noc::Network& network,
                            const MemoryConfig& config, const Hooks* hooks,
-                           std::function<EventQueue&(NodeId)> queueFor)
+                           QueueFor queueFor)
     : nodes(network.config().nodes()),
       map(nodes),
       fab(network, map, hooks)

@@ -42,6 +42,10 @@ struct MemoryConfig
 class MemorySystem
 {
   public:
+    /** Maps a node to the event queue owning its components. */
+    using QueueFor =
+        InlineFunction<EventQueue&(NodeId), kContinuationBytes>;
+
     /**
      * Build controllers/directories/DRAM for every node of
      * @p network and register them with a new fabric.
@@ -55,7 +59,7 @@ class MemorySystem
     MemorySystem(EventQueue& queue, noc::Network& network,
                  const MemoryConfig& config,
                  const Hooks* hooks = nullptr,
-                 std::function<EventQueue&(NodeId)> queueFor = {});
+                 QueueFor queueFor = {});
 
     unsigned numNodes() const { return nodes; }
 

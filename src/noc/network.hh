@@ -140,7 +140,7 @@ class Network : public SimObject
     static constexpr std::size_t kPayloadBytes = 128;
 
     /** Callback invoked at the destination when a message arrives. */
-    using Deliver = detail::InlineClosure<kPayloadBytes>;
+    using Deliver = InlineFunction<void(), kPayloadBytes>;
 
     /**
      * @param hooks machine-wide instrumentation seams (fault

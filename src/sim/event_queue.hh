@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/inline_function.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -85,178 +85,9 @@ class EventQueueObserver
 
 namespace detail {
 
-/**
- * Type-erased move-only callback with inline small-closure storage.
- * Callables up to kInlineBytes (and max_align_t alignment) live inside
- * the object; larger ones fall back to a single heap allocation. The
- * event queue stores EventClosure; the NoC keeps a wider instance in
- * its flight pool so a whole coherence message fits inline.
- */
-template <std::size_t InlineBytes>
-class InlineClosure
-{
-  public:
-    static constexpr std::size_t kInlineBytes = InlineBytes;
-
-    InlineClosure() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineClosure> &&
-                  std::is_invocable_v<std::decay_t<F>&>>>
-    InlineClosure(F&& f) // NOLINT: implicit by design
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
-            ops = &kInlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn**>(static_cast<void*>(buf)) =
-                new Fn(std::forward<F>(f));
-            ops = &kHeapOps<Fn>;
-        }
-    }
-
-    InlineClosure(InlineClosure&& other) noexcept { moveFrom(other); }
-
-    InlineClosure&
-    operator=(InlineClosure&& other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    InlineClosure(const InlineClosure&) = delete;
-    InlineClosure& operator=(const InlineClosure&) = delete;
-
-    ~InlineClosure() { reset(); }
-
-    /** True if a callable is held. */
-    explicit operator bool() const { return ops != nullptr; }
-
-    /** Invoke the held callable (must not be empty). */
-    void operator()() { ops->invoke(buf); }
-
-    /**
-     * Construct @p f in place. The closure must be empty — this is the
-     * schedule hot path writing straight into a recycled pool slot, so
-     * no destroy-and-relocate round trip happens. An InlineClosure of
-     * the same width is taken over rather than wrapped.
-     */
-    template <typename F>
-    void
-    emplace(F&& f)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (std::is_same_v<Fn, InlineClosure>) {
-            moveFrom(f);
-        } else if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
-            ops = &kInlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn**>(static_cast<void*>(buf)) =
-                new Fn(std::forward<F>(f));
-            ops = &kHeapOps<Fn>;
-        }
-    }
-
-    /**
-     * Invoke then destroy the held callable in one indirect call,
-     * leaving the closure empty (must not be empty on entry). The
-     * closure is marked empty *before* the callable runs, so the slot
-     * stays consistent if the callback re-enters the queue.
-     */
-    void
-    consume()
-    {
-        const Ops* o = ops;
-        ops = nullptr;
-        o->consume(buf);
-    }
-
-    /** Destroy the held callable (no-op if empty). */
-    void
-    reset()
-    {
-        if (ops) {
-            ops->destroy(buf);
-            ops = nullptr;
-        }
-    }
-
-    /** True if @p Fn would be stored inline (no heap allocation). */
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= kInlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void* self);
-        void (*destroy)(void* self);
-        /** Move-construct at @p dst from @p src, then destroy src. */
-        void (*relocate)(void* dst, void* src);
-        /** Invoke, then destroy (the fire path, fused). */
-        void (*consume)(void* self);
-    };
-
-    template <typename Fn>
-    static Fn* at(void* p) { return std::launder(reinterpret_cast<Fn*>(p)); }
-
-    template <typename Fn>
-    static constexpr Ops kInlineOps = {
-        [](void* p) { (*at<Fn>(p))(); },
-        [](void* p) { at<Fn>(p)->~Fn(); },
-        [](void* dst, void* src) {
-            Fn* s = at<Fn>(src);
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        },
-        [](void* p) {
-            Fn* f = at<Fn>(p);
-            (*f)();
-            f->~Fn();
-        },
-    };
-
-    template <typename Fn>
-    static constexpr Ops kHeapOps = {
-        [](void* p) { (**reinterpret_cast<Fn**>(p))(); },
-        [](void* p) { delete *reinterpret_cast<Fn**>(p); },
-        [](void* dst, void* src) {
-            *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
-        },
-        [](void* p) {
-            Fn* f = *reinterpret_cast<Fn**>(p);
-            (*f)();
-            delete f;
-        },
-    };
-
-    void
-    moveFrom(InlineClosure& other)
-    {
-        if (other.ops) {
-            other.ops->relocate(buf, other.buf);
-            ops = other.ops;
-            other.ops = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-    const Ops* ops = nullptr;
-};
-
-/** The event queue's per-slot closure. */
-using EventClosure = InlineClosure<48>;
+/** The event queue's per-slot closure: the model's continuation
+ *  type, so a scheduled Continuation is taken over, not wrapped. */
+using EventClosure = Continuation;
 
 } // namespace detail
 
@@ -343,7 +174,9 @@ class EventQueue
     EventHandle
     schedule(Tick when, F&& f, int priority = 0)
     {
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback> ||
+                      std::is_same_v<std::decay_t<F>,
+                                     detail::EventClosure>) {
             if (!f)
                 panic("scheduling event with empty callback");
         }

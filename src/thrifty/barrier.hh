@@ -13,11 +13,11 @@
 #define TB_THRIFTY_BARRIER_HH_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "cpu/thread_context.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 #include "thrifty/bit_predictor.hh"
 
@@ -183,7 +183,7 @@ class Barrier
      * thread departs past it.
      */
     virtual void arrive(cpu::ThreadContext& tc,
-                        std::function<void()> cont) = 0;
+                        Continuation cont) = 0;
 
     /** The static identifier (PC) of this barrier. */
     virtual BarrierPc pc() const = 0;

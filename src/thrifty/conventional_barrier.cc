@@ -34,7 +34,7 @@ ConventionalBarrier::ConventionalBarrier(EventQueue& queue, BarrierPc pc,
 
 void
 ConventionalBarrier::arrive(cpu::ThreadContext& tc,
-                            std::function<void()> cont)
+                            Continuation cont)
 {
     const ThreadId tid = tc.tid();
     if (tid >= total)
@@ -75,7 +75,8 @@ ConventionalBarrier::arrive(cpu::ThreadContext& tc,
             if (old + 1 == total) {
                 // Last thread: toggle the flag, releasing everyone.
                 tc.store(flagAddr, want,
-                         [this, &tc, tid, cont = std::move(cont)]() {
+                         [this, &tc, tid,
+                          cont = std::move(cont)]() mutable {
                              if (auto* o = tc.controller().checkObserver())
                                  o->onBarrierReleased(
                                      mem::lineAddr(flagAddr),
@@ -89,7 +90,7 @@ ConventionalBarrier::arrive(cpu::ThreadContext& tc,
             }
             ++ledger_.shard(tid).spins;
             spinOnFlag(tc, flagAddr, want,
-                       [this, &tc, tid, cont = std::move(cont)]() {
+                       [this, &tc, tid, cont = std::move(cont)]() mutable {
                            ledger_.shard(tid).totalStallTicks +=
                                static_cast<double>(tc.curTick() -
                                                    arrivalTick[tid]);

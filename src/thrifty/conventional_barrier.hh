@@ -19,7 +19,6 @@
 #ifndef TB_THRIFTY_CONVENTIONAL_BARRIER_HH_
 #define TB_THRIFTY_CONVENTIONAL_BARRIER_HH_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,7 @@ class ConventionalBarrier : public Barrier, public SimObject
                         SyncStats& stats, std::string name);
 
     void arrive(cpu::ThreadContext& tc,
-                std::function<void()> cont) override;
+                Continuation cont) override;
 
     BarrierPc pc() const override { return barrierPc; }
 

@@ -15,10 +15,10 @@ struct SpinLoop : std::enable_shared_from_this<SpinLoop>
     cpu::ThreadContext& tc;
     Addr flag;
     std::uint64_t want;
-    std::function<void()> cont;
+    Continuation cont;
 
     SpinLoop(cpu::ThreadContext& t, Addr f, std::uint64_t w,
-             std::function<void()> c)
+             Continuation c)
         : tc(t), flag(f), want(w), cont(std::move(c))
     {}
 
@@ -54,8 +54,8 @@ struct BoundedSpin : std::enable_shared_from_this<BoundedSpin>
     std::uint64_t want;
     Tick deadline;
     Tick recheck;
-    std::function<void()> onEscalate;
-    std::function<void()> cont;
+    Continuation onEscalate;
+    Continuation cont;
 
     bool escalated = false;
     std::uint64_t gen = 0;
@@ -63,7 +63,7 @@ struct BoundedSpin : std::enable_shared_from_this<BoundedSpin>
 
     BoundedSpin(EventQueue& q, cpu::ThreadContext& t, Addr f,
                 std::uint64_t w, Tick dl, Tick rc,
-                std::function<void()> esc, std::function<void()> c)
+                Continuation esc, Continuation c)
         : eq(q), tc(t), flag(f), want(w), deadline(dl), recheck(rc),
           onEscalate(std::move(esc)), cont(std::move(c))
     {}
@@ -131,7 +131,7 @@ struct BoundedSpin : std::enable_shared_from_this<BoundedSpin>
 
 void
 spinOnFlag(cpu::ThreadContext& tc, Addr flag, std::uint64_t want,
-           std::function<void()> cont)
+           Continuation cont)
 {
     tc.cpu().beginSpin();
     auto loop =
@@ -142,8 +142,7 @@ spinOnFlag(cpu::ThreadContext& tc, Addr flag, std::uint64_t want,
 void
 spinOnFlagBounded(EventQueue& eq, cpu::ThreadContext& tc, Addr flag,
                   std::uint64_t want, Tick budget, Tick recheck,
-                  std::function<void()> on_escalate,
-                  std::function<void()> cont)
+                  Continuation on_escalate, Continuation cont)
 {
     tc.cpu().beginSpin();
     auto loop = std::make_shared<BoundedSpin>(

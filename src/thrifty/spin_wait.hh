@@ -16,10 +16,10 @@
 #define TB_THRIFTY_SPIN_WAIT_HH_
 
 #include <cstdint>
-#include <functional>
 
 #include "cpu/thread_context.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace tb {
@@ -31,7 +31,7 @@ namespace thrifty {
  * @p cont runs.
  */
 void spinOnFlag(cpu::ThreadContext& tc, Addr flag, std::uint64_t want,
-                std::function<void()> cont);
+                Continuation cont);
 
 /**
  * Bounded variant for faulty machines (docs/ROBUSTNESS.md): spin on
@@ -45,8 +45,7 @@ void spinOnFlag(cpu::ThreadContext& tc, Addr flag, std::uint64_t want,
  */
 void spinOnFlagBounded(EventQueue& eq, cpu::ThreadContext& tc, Addr flag,
                        std::uint64_t want, Tick budget, Tick recheck,
-                       std::function<void()> on_escalate,
-                       std::function<void()> cont);
+                       Continuation on_escalate, Continuation cont);
 
 } // namespace thrifty
 } // namespace tb

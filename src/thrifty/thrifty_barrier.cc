@@ -55,7 +55,7 @@ ThriftyBarrier::~ThriftyBarrier()
 }
 
 void
-ThriftyBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
+ThriftyBarrier::arrive(cpu::ThreadContext& tc, Continuation cont)
 {
     const ThreadId tid = tc.tid();
     if (tid >= total)
@@ -178,7 +178,7 @@ ThriftyBarrier::homeCheckIn(ThreadId tid, std::uint64_t old,
 void
 ThriftyBarrier::lastArrival(cpu::ThreadContext& tc, ThreadId tid,
                             std::uint64_t want,
-                            std::function<void()> cont)
+                            Continuation cont)
 {
     // The BIT and the instance index were fixed at the home's
     // serialization point; the reply carried them back in this
@@ -193,7 +193,7 @@ ThriftyBarrier::lastArrival(cpu::ThreadContext& tc, ThreadId tid,
                                    cont = std::move(cont)]() mutable {
         tc.store(flagAddr, want,
                  [this, &tc, tid, actual_bit, instance,
-                  cont = std::move(cont)]() {
+                  cont = std::move(cont)]() mutable {
                      if (auto* o = tc.controller().checkObserver())
                          o->onBarrierReleased(mem::lineAddr(flagAddr),
                                               instance);
@@ -220,7 +220,7 @@ ThriftyBarrier::lastArrival(cpu::ThreadContext& tc, ThreadId tid,
 void
 ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                              std::uint64_t want,
-                             std::function<void()> cont)
+                             Continuation cont)
 {
     const ThriftyConfig& cfg = runtime.config();
     SyncStats& st = runtime.stats(tid);
@@ -356,7 +356,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                     }
                     // Residual spin: verify the flag actually flipped
                     // (guards early wake-ups and false wake-ups).
-                    std::function<void()> finish =
+                    Continuation finish =
                         [this, &tc, tid,
                          cont = std::move(cont)]() mutable {
                             SyncStats& stf = runtime.stats(tid);
@@ -400,7 +400,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
 
 void
 ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
-                       std::function<void()> cont)
+                       Continuation cont)
 {
     // Load the published BIT and advance the local release timestamp;
     // then check how late the wake-up was (Section 3.3.3).
@@ -447,7 +447,7 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
 
 void
 ThriftyBarrier::park(cpu::ThreadContext& tc, ThreadId tid,
-                     std::function<void()> cont)
+                     Continuation cont)
 {
     if (releaseReady[tid]) {
         // The release notification overtook this thread's own check-in
@@ -480,7 +480,7 @@ ThriftyBarrier::oracleRelease(ThreadId tid, Tick actual_bit)
         return;
     }
     cpu::ThreadContext& tc = *parkedTc[tid];
-    std::function<void()> cont = std::move(parkedCont[tid]);
+    Continuation cont = std::move(parkedCont[tid]);
     parkedTc[tid] = nullptr;
     parkedCont[tid] = nullptr;
     const Tick stall = tc.curTick() - arrivalTick[tid];

@@ -45,7 +45,6 @@
 #ifndef TB_THRIFTY_THRIFTY_BARRIER_HH_
 #define TB_THRIFTY_THRIFTY_BARRIER_HH_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,7 +75,7 @@ class ThriftyBarrier : public Barrier, public SimObject
     ~ThriftyBarrier() override;
 
     void arrive(cpu::ThreadContext& tc,
-                std::function<void()> cont) override;
+                Continuation cont) override;
 
     BarrierPc pc() const override { return barrierPc; }
 
@@ -115,19 +114,19 @@ class ThriftyBarrier : public Barrier, public SimObject
 
     /** Path of the last thread to check in (requester side). */
     void lastArrival(cpu::ThreadContext& tc, ThreadId tid,
-                     std::uint64_t want, std::function<void()> cont);
+                     std::uint64_t want, Continuation cont);
 
     /** Path of an early thread (requester side). */
     void earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
-                      std::uint64_t want, std::function<void()> cont);
+                      std::uint64_t want, Continuation cont);
 
     /** Early thread after the flag flipped: bookkeeping + continue. */
     void depart(cpu::ThreadContext& tc, ThreadId tid,
-                std::function<void()> cont);
+                Continuation cont);
 
     /** Oracle mode: park until the release notification. */
     void park(cpu::ThreadContext& tc, ThreadId tid,
-              std::function<void()> cont);
+              Continuation cont);
 
     /** Oracle mode: handle the release notification at @p tid's node. */
     void oracleRelease(ThreadId tid, Tick actual_bit);
@@ -164,7 +163,7 @@ class ThriftyBarrier : public Barrier, public SimObject
 
     // Requester-confined oracle parking state, per thread.
     std::vector<cpu::ThreadContext*> parkedTc;
-    std::vector<std::function<void()>> parkedCont;
+    std::vector<Continuation> parkedCont;
     /** Release notification that overtook the thread's own check-in
      *  reply; park() departs immediately when set. */
     std::vector<std::uint8_t> releaseReady;

@@ -30,7 +30,7 @@ ThriftyLock::held() const
 }
 
 void
-ThriftyLock::acquire(cpu::ThreadContext& tc, std::function<void()> cont)
+ThriftyLock::acquire(cpu::ThreadContext& tc, Continuation cont)
 {
     const ThreadId tid = tc.tid();
     if (tid >= lastWait.size())
@@ -41,7 +41,7 @@ ThriftyLock::acquire(cpu::ThreadContext& tc, std::function<void()> cont)
 
 void
 ThriftyLock::tryAcquire(cpu::ThreadContext& tc, ThreadId tid,
-                        std::function<void()> cont)
+                        Continuation cont)
 {
     tc.atomic(
         lockAddr,
@@ -75,7 +75,7 @@ ThriftyLock::tryAcquire(cpu::ThreadContext& tc, ThreadId tid,
 
 void
 ThriftyLock::waitForRelease(cpu::ThreadContext& tc, ThreadId tid,
-                            std::function<void()> cont)
+                            Continuation cont)
 {
     // Remaining-wait prediction: last observed wait at this lock for
     // this thread, minus what has already elapsed.
@@ -129,7 +129,7 @@ ThriftyLock::waitForRelease(cpu::ThreadContext& tc, ThreadId tid,
 }
 
 void
-ThriftyLock::release(cpu::ThreadContext& tc, std::function<void()> cont)
+ThriftyLock::release(cpu::ThreadContext& tc, Continuation cont)
 {
     if (!held())
         panic(name(), ": release of a free lock");

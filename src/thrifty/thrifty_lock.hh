@@ -32,13 +32,13 @@
 #ifndef TB_THRIFTY_THRIFTY_LOCK_HH_
 #define TB_THRIFTY_THRIFTY_LOCK_HH_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "cpu/thread_context.hh"
 #include "mem/memory_system.hh"
 #include "power/sleep_states.hh"
+#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -76,10 +76,10 @@ class ThriftyLock : public SimObject
      * Acquire the lock for @p tc's thread; @p cont runs in the
      * critical section. Threads must not acquire recursively.
      */
-    void acquire(cpu::ThreadContext& tc, std::function<void()> cont);
+    void acquire(cpu::ThreadContext& tc, Continuation cont);
 
     /** Release the lock (must be held by @p tc's thread). */
-    void release(cpu::ThreadContext& tc, std::function<void()> cont);
+    void release(cpu::ThreadContext& tc, Continuation cont);
 
     /** True while some thread holds the lock (for tests). */
     bool held() const;
@@ -92,11 +92,11 @@ class ThriftyLock : public SimObject
   private:
     /** One acquisition attempt; retries until it wins. */
     void tryAcquire(cpu::ThreadContext& tc, ThreadId tid,
-                    std::function<void()> cont);
+                    Continuation cont);
 
     /** Failed attempt: decide between spinning and sleeping. */
     void waitForRelease(cpu::ThreadContext& tc, ThreadId tid,
-                        std::function<void()> cont);
+                        Continuation cont);
 
     mem::Backend& backend;
     power::SleepStateTable states;

@@ -57,7 +57,7 @@ TreeBarrier::groupAt(unsigned level, unsigned index)
 }
 
 void
-TreeBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
+TreeBarrier::arrive(cpu::ThreadContext& tc, Continuation cont)
 {
     const ThreadId tid = tc.tid();
     if (tid >= total)
@@ -78,7 +78,7 @@ TreeBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
 void
 TreeBarrier::ascend(cpu::ThreadContext& tc, ThreadId tid,
                     unsigned level, unsigned index, unsigned slot,
-                    std::function<void(Tick)> released)
+                    Released released)
 {
     Group& g = groupAt(level, index);
     const std::uint64_t want = g.sense.at(slot) ^ 1u;
@@ -153,7 +153,7 @@ TreeBarrier::ascend(cpu::ThreadContext& tc, ThreadId tid,
 void
 TreeBarrier::thriftyWait(cpu::ThreadContext& tc, ThreadId tid,
                          Group& group, std::uint64_t want,
-                         std::function<void()> cont)
+                         Continuation cont)
 {
     const ThriftyConfig& cfg = runtime.config();
     SyncStats& st = runtime.stats();
@@ -204,7 +204,7 @@ TreeBarrier::thriftyWait(cpu::ThreadContext& tc, ThreadId tid,
 void
 TreeBarrier::releaseGroup(cpu::ThreadContext& tc, Group& group,
                           std::uint64_t want, Tick bit,
-                          std::function<void()> cont)
+                          Continuation cont)
 {
     tc.store(group.bit, bit,
              [this, &tc, &group, want, cont = std::move(cont)]() mutable {
@@ -214,7 +214,7 @@ TreeBarrier::releaseGroup(cpu::ThreadContext& tc, Group& group,
 
 void
 TreeBarrier::finishThread(cpu::ThreadContext& tc, ThreadId tid,
-                          Tick bit, std::function<void()> cont)
+                          Tick bit, Continuation cont)
 {
     (void)tc;
     runtime.advanceBrts(tid, bit);

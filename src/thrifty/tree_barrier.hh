@@ -31,7 +31,6 @@
 #ifndef TB_THRIFTY_TREE_BARRIER_HH_
 #define TB_THRIFTY_TREE_BARRIER_HH_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,7 +59,7 @@ class TreeBarrier : public Barrier, public SimObject
                 unsigned radix, std::string name);
 
     void arrive(cpu::ThreadContext& tc,
-                std::function<void()> cont) override;
+                Continuation cont) override;
 
     BarrierPc pc() const override { return barrierPc; }
 
@@ -74,6 +73,9 @@ class TreeBarrier : public Barrier, public SimObject
     }
 
   private:
+    /** Release continuation carrying the published BIT. */
+    using Released = InlineFunction<void(Tick), kContinuationBytes>;
+
     struct Group
     {
         Addr count = 0;
@@ -93,7 +95,7 @@ class TreeBarrier : public Barrier, public SimObject
      */
     void ascend(cpu::ThreadContext& tc, ThreadId tid, unsigned level,
                 unsigned index, unsigned slot,
-                std::function<void(Tick)> released);
+                Released released);
 
     /**
      * Wait (thrifty: predict, maybe sleep, residual spin) on
@@ -101,7 +103,7 @@ class TreeBarrier : public Barrier, public SimObject
      */
     void thriftyWait(cpu::ThreadContext& tc, ThreadId tid,
                      Group& group, std::uint64_t want,
-                     std::function<void()> cont);
+                     Continuation cont);
 
     /**
      * Release wave: write @p bit into the group's BIT line, flip its
@@ -110,11 +112,11 @@ class TreeBarrier : public Barrier, public SimObject
      */
     void releaseGroup(cpu::ThreadContext& tc, Group& group,
                       std::uint64_t want, Tick bit,
-                      std::function<void()> cont);
+                      Continuation cont);
 
     /** Final per-thread bookkeeping (BRTS, cutoff, stats, trace). */
     void finishThread(cpu::ThreadContext& tc, ThreadId tid, Tick bit,
-                      std::function<void()> cont);
+                      Continuation cont);
 
     BarrierPc barrierPc;
     ThriftyRuntime& runtime;

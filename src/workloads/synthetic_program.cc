@@ -57,7 +57,7 @@ SyntheticProgram::SyntheticProgram(EventQueue& queue,
             static_cast<NodeId>(t), app.privateBytes));
     }
 
-    stepIdx.assign(tcs.size(), 0);
+    cursors.resize(tcs.size());
     finishTick_.assign(tcs.size(), 0);
 
     // Materialize every barrier up front: on a partitioned machine
@@ -129,7 +129,8 @@ SyntheticProgram::start()
 void
 SyntheticProgram::runStep(ThreadId tid, std::size_t step_idx)
 {
-    stepIdx[tid] = step_idx;
+    Cursor& cur = cursors[tid];
+    cur.step = step_idx;
     if (step_idx >= sequence.size()) {
         threadFinished(tid);
         return;
@@ -140,40 +141,48 @@ SyntheticProgram::runStep(ThreadId tid, std::size_t step_idx)
     const unsigned accesses = spec.memAccesses;
     const Tick chunk = busy / (accesses + 1);
 
-    Random rng = streamFor(spec.pc, step.instance, 0xacce55 + tid);
-    runPhaseChunks(tid, step_idx, chunk == 0 ? 1 : chunk, accesses,
-                   rng);
+    cur.chunk = chunk == 0 ? 1 : chunk;
+    cur.accessesLeft = accesses;
+    cur.rng = streamFor(spec.pc, step.instance, 0xacce55 + tid);
+    runChunk(tid);
 }
 
 void
-SyntheticProgram::runPhaseChunks(ThreadId tid, std::size_t step_idx,
-                                 Tick chunk, unsigned accesses_left,
-                                 Random rng)
+SyntheticProgram::runChunk(ThreadId tid)
 {
-    cpu::ThreadContext& tc = *tcs[tid];
-    tc.compute(chunk, [this, tid, step_idx, chunk, accesses_left,
-                       rng]() mutable {
-        if (accesses_left == 0) {
-            const Step& step = sequence[step_idx];
-            thrifty::Barrier& b = provider.barrierFor(step.spec->pc);
-            b.arrive(*tcs[tid], [this, tid, step_idx]() {
-                runStep(tid, step_idx + 1);
-            });
-            return;
-        }
-        issueAccess(tid, *sequence[step_idx].spec, rng,
-                    [this, tid, step_idx, chunk, accesses_left,
-                     rng]() mutable {
-                        runPhaseChunks(tid, step_idx, chunk,
-                                       accesses_left - 1, rng);
-                    });
-    });
+    tcs[tid]->compute(cursors[tid].chunk,
+                      [this, tid]() { chunkDone(tid); });
 }
 
 void
-SyntheticProgram::issueAccess(ThreadId tid, const PhaseSpec& spec,
-                              Random& rng, std::function<void()> cont)
+SyntheticProgram::chunkDone(ThreadId tid)
 {
+    const Cursor& cur = cursors[tid];
+    if (cur.accessesLeft == 0) {
+        thrifty::Barrier& b =
+            provider.barrierFor(sequence[cur.step].spec->pc);
+        b.arrive(*tcs[tid], [this, tid]() {
+            runStep(tid, cursors[tid].step + 1);
+        });
+        return;
+    }
+    issueAccess(tid);
+}
+
+void
+SyntheticProgram::issueAccess(ThreadId tid)
+{
+    const Cursor& cur = cursors[tid];
+    const PhaseSpec& spec = *sequence[cur.step].spec;
+    // Each access draws from a copy of the phase's stream, which is
+    // never advanced: every access of one (thread, phase instance)
+    // replays the same draws, so it touches the same word with the
+    // same read/write choice and store value. The app profiles were
+    // calibrated against Table 2 with this behaviour, and advancing
+    // the stream moves every result (the default run's exec_time_s
+    // goes from 0.19497537 to 0.19523946 s), so it stays until the
+    // profiles are recalibrated.
+    Random rng = cur.rng;
     cpu::ThreadContext& tc = *tcs[tid];
     const bool shared = rng.chance(spec.sharedFraction);
     const bool write = rng.chance(spec.writeFraction);
@@ -188,12 +197,14 @@ SyntheticProgram::issueAccess(ThreadId tid, const PhaseSpec& spec,
     }
     const Addr a = base + (rng.uniformInt(span / 8) * 8);
 
-    if (write) {
-        tc.store(a, rng.next(),
-                 [cont = std::move(cont)]() { cont(); });
-    } else {
-        tc.load(a, [cont = std::move(cont)](std::uint64_t) { cont(); });
-    }
+    auto next = [this, tid]() {
+        --cursors[tid].accessesLeft;
+        runChunk(tid);
+    };
+    if (write)
+        tc.store(a, rng.next(), next);
+    else
+        tc.load(a, [next](std::uint64_t) { next(); });
 }
 
 void

@@ -60,7 +60,11 @@ class SyntheticProgram
 
     /** Program step thread @p tid is currently executing (or, once
      *  finished, one past the last). For tests and diagnostics. */
-    std::size_t currentStep(ThreadId tid) const { return stepIdx.at(tid); }
+    std::size_t
+    currentStep(ThreadId tid) const
+    {
+        return cursors.at(tid).step;
+    }
 
     /** Total steps (barrier arrivals) in each thread's program. */
     std::size_t totalSteps() const { return sequence.size(); }
@@ -70,6 +74,20 @@ class SyntheticProgram
     {
         const PhaseSpec* spec;
         std::uint64_t instance; ///< dynamic instance index of spec->pc
+    };
+
+    /**
+     * Where one thread is in its program. The continuations the
+     * program hands the machine capture only `[this, tid]` and read
+     * everything else here, so each is stored inline and a memory
+     * access allocates nothing.
+     */
+    struct Cursor
+    {
+        std::size_t step = 0;      ///< index into sequence
+        Tick chunk = 1;            ///< compute ticks before each access
+        unsigned accessesLeft = 0; ///< accesses still to issue
+        Random rng;                ///< the phase's access stream
     };
 
     /** Deterministic sub-stream for a (context-dependent) key. */
@@ -84,10 +102,10 @@ class SyntheticProgram
     Tick drawBusy(ThreadId tid, const Step& step) const;
 
     void runStep(ThreadId tid, std::size_t step_idx);
-    void runPhaseChunks(ThreadId tid, std::size_t step_idx, Tick chunk,
-                        unsigned accesses_left, Random rng);
-    void issueAccess(ThreadId tid, const PhaseSpec& spec, Random& rng,
-                     std::function<void()> cont);
+    /** Compute one chunk; then issue the next access or arrive. */
+    void runChunk(ThreadId tid);
+    void chunkDone(ThreadId tid);
+    void issueAccess(ThreadId tid);
     void threadFinished(ThreadId tid);
 
     EventQueue& eq;
@@ -102,7 +120,7 @@ class SyntheticProgram
     std::vector<Addr> privateBase;
     /** Per-thread finish ticks (thread-local clocks; no shared state). */
     std::vector<Tick> finishTick_;
-    std::vector<std::size_t> stepIdx;
+    std::vector<Cursor> cursors;
 };
 
 } // namespace workloads

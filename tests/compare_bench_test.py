@@ -71,6 +71,15 @@ class CompareBench(unittest.TestCase):
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("REGRESSION", r.stdout)
 
+    def test_host_line_is_reported_not_gated(self):
+        base = baseline() + [{"campaign": "simcore", "kind": "host",
+                              "nproc": 4, "reps": 5, "min_wall_s": 0.2}]
+        cur = baseline() + [{"campaign": "simcore", "kind": "host",
+                             "nproc": 2, "reps": 5, "min_wall_s": 0.2}]
+        r = self.run_compare(base, cur)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("host cores: baseline 4, current 2", r.stdout)
+
 
 if __name__ == "__main__":
     SCRIPT = sys.argv.pop(1)

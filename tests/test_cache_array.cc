@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache_array.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace tb {
 namespace {
@@ -42,7 +45,7 @@ TEST(CacheArray, InsertThenHit)
     EXPECT_FALSE(victim.valid);
     CacheArray::Line* l = c.find(0x1000);
     ASSERT_NE(l, nullptr);
-    EXPECT_EQ(l->state, LineState::Shared);
+    EXPECT_EQ(l->state(), LineState::Shared);
     EXPECT_EQ(c.validCount(), 1u);
 }
 
@@ -100,11 +103,63 @@ TEST(CacheArray, ForEachValidVisitsAllValid)
     unsigned dirty = 0, total = 0;
     c.forEachValid([&](CacheArray::Line& l) {
         ++total;
-        if (l.state == LineState::Modified)
+        if (l.state() == LineState::Modified)
             ++dirty;
     });
     EXPECT_EQ(total, 3u);
     EXPECT_EQ(dirty, 2u);
+}
+
+TEST(CacheArray, ForEachModifiedMatchesFullScanUnderRandomOps)
+{
+    // The paper's L2 (1024 ways, so the bitmap spans 16 words) under a
+    // random mix of fills with eviction, invalidations and state
+    // changes over 4x more lines than fit.
+    CacheArray c(CacheGeometry{64 * 1024, 8, 64});
+    const LineState valid[] = {LineState::Shared, LineState::Exclusive,
+                               LineState::Modified};
+    Random rng(20260418);
+    auto check = [&]() {
+        std::vector<const CacheArray::Line*> scan, fast;
+        c.forEachValid([&](CacheArray::Line& l) {
+            if (l.state() == LineState::Modified)
+                scan.push_back(&l);
+        });
+        c.forEachModified([&](CacheArray::Line& l) { fast.push_back(&l); });
+        ASSERT_EQ(fast, scan);
+    };
+    for (unsigned op = 0; op < 20000; ++op) {
+        const Addr line = 64 * rng.uniformInt(4096);
+        const LineState st = valid[rng.uniformInt(3)];
+        CacheArray::Line* e = c.find(line);
+        switch (rng.uniformInt(3)) {
+          case 0:
+            if (!e)
+                c.insert(line, st);
+            break;
+          case 1:
+            c.invalidate(line);
+            break;
+          default:
+            if (e)
+                c.setState(*e, st);
+            break;
+        }
+        if (op % 16 == 0)
+            check();
+    }
+    check();
+
+    // The visitor may drop the line it is handed.
+    unsigned dropped = 0;
+    c.forEachModified([&](CacheArray::Line& l) {
+        c.invalidate(l.addr);
+        ++dropped;
+    });
+    EXPECT_GT(dropped, 0u);
+    unsigned left = 0;
+    c.forEachModified([&](CacheArray::Line&) { ++left; });
+    EXPECT_EQ(left, 0u);
 }
 
 TEST(CacheArray, DoubleInsertPanics)

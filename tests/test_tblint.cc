@@ -727,6 +727,56 @@ TEST(TblintRawNocSend, AllowSilences)
 }
 
 // ----------------------------------------------------------------------
+// TBL025 — std::function in the continuation layers
+// ----------------------------------------------------------------------
+
+TEST(TblintStdFunction, SignatureAndMemberFire)
+{
+    const auto fs = lintContent("src/mem/widget.hh", R"tb(
+        class Widget {
+            void read(std::function<void()> done);
+            std::function<void(std::uint64_t)> onValue;
+        };
+    )tb");
+    EXPECT_EQ(countRule(fs, "TBL025"), 2u);
+}
+
+TEST(TblintStdFunction, EveryContinuationLayerIsCovered)
+{
+    for (const char* path :
+         {"src/cpu/a.cc", "src/thrifty/a.cc", "src/workloads/a.cc"}) {
+        const auto fs = lintContent(path, R"tb(
+            using Callback = std::function<void()>;
+        )tb");
+        EXPECT_EQ(countRule(fs, "TBL025"), 1u) << path;
+    }
+}
+
+TEST(TblintStdFunction, OtherLayersAndInlineFunctionsAreClean)
+{
+    const auto harness = lintContent("src/harness/a.cc", R"tb(
+        std::function<void()> task;
+    )tb");
+    EXPECT_EQ(countRule(harness, "TBL025"), 0u);
+    const auto mem = lintContent("src/mem/a.hh", R"tb(
+        #include <functional>
+        void read(Continuation done);
+        InlineFunction<bool(Tick), 48> check;
+        // std::function mentioned in a comment
+    )tb");
+    EXPECT_EQ(countRule(mem, "TBL025"), 0u);
+}
+
+TEST(TblintStdFunction, AllowWithReasonSilences)
+{
+    const auto fs = lintContent("src/mem/msg.hh", R"tb(
+        // tblint-allow(TBL025): Msg is copyable, so its op must be too
+        using RmwOp = std::function<std::uint64_t(Tick)>;
+    )tb");
+    EXPECT_TRUE(fs.empty());
+}
+
+// ----------------------------------------------------------------------
 // Engine plumbing
 // ----------------------------------------------------------------------
 

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "cpu/cpu.hh"
 #include "harness/experiment.hh"
+#include "mem/memory_system.hh"
 #include "workloads/app_profile.hh"
 #include "workloads/synthetic_program.hh"
 
@@ -149,6 +154,93 @@ TEST(WorkloadDetail, PrologueRunsExactlyOnce)
     const auto r = harness::runExperiment(sys, app, ConfigKind::Baseline);
     EXPECT_EQ(r.sync.instances, app.totalInstances());
     EXPECT_EQ(app.totalInstances(), 1u + 6u);
+}
+
+/** A barrier every thread passes at once, touching no memory. */
+class PassBarrier : public thrifty::Barrier
+{
+  public:
+    void
+    arrive(cpu::ThreadContext&, Continuation cont) override
+    {
+        cont();
+    }
+    thrifty::BarrierPc pc() const override { return 0x1; }
+};
+
+class PassProvider : public workloads::BarrierProvider
+{
+  public:
+    thrifty::Barrier& barrierFor(thrifty::BarrierPc) override { return b; }
+
+  private:
+    PassBarrier b;
+};
+
+/** Node 0's demand accesses as (kind, word address), in issue order. */
+class AccessRecorder : public mem::ProtocolObserver
+{
+  public:
+    void
+    onLoadValue(NodeId node, Addr addr, std::uint64_t) override
+    {
+        if (node == 0)
+            seen.emplace_back('L', addr);
+    }
+
+    void
+    onStoreSerialized(NodeId node, Addr addr, std::uint64_t) override
+    {
+        // A store that misses is reported at the home's grant and again
+        // when it completes; only the completion finds the requester's
+        // controller idle.
+        if (node == 0 && !ctrl->busy())
+            seen.emplace_back('S', addr);
+    }
+
+    const mem::CacheController* ctrl = nullptr;
+    std::vector<std::pair<char, Addr>> seen;
+};
+
+TEST(WorkloadDetail, AccessStreamOfOneThreadIsPinned)
+{
+    // One thread, three instances of a four-access phase. Each access
+    // of one phase instance replays the phase's draws (see
+    // SyntheticProgram::issueAccess), so the stream repeats one
+    // (kind, word) four times per instance. Pinned literally, so a
+    // change to SyntheticProgram cannot move it silently.
+    AccessRecorder rec;
+    Hooks hooks;
+    hooks.check = &rec;
+    EventQueue eq;
+    noc::NetworkConfig nc;
+    nc.dimension = 1;
+    noc::Network net(eq, nc);
+    mem::MemorySystem memory(eq, net, mem::MemoryConfig{}, &hooks);
+    rec.ctrl = &memory.controller(0);
+    cpu::Cpu cpu0(eq, 0, memory.controller(0), power::PowerParams{},
+                  "cpu0");
+    cpu::ThreadContext t0(eq, 0, cpu0, memory.controller(0), "t0");
+
+    AppProfile app = baseApp();
+    app.loop[0].memAccesses = 4;
+    app.loop[0].sharedFraction = 0.5;
+    app.loop[0].writeFraction = 0.5;
+    app.iterations = 3;
+    PassProvider barriers;
+    workloads::SyntheticProgram prog(eq, memory, {&t0}, app, barriers,
+                                     1);
+    prog.start();
+    eq.run();
+    ASSERT_TRUE(prog.finished());
+
+    // Shared region at 0x1000 (64 KiB), thread 0's private one after.
+    const std::vector<std::pair<char, Addr>> expected = {
+        {'L', 0x78a0},  {'L', 0x78a0},  {'L', 0x78a0},  {'L', 0x78a0},
+        {'S', 0xf0f0},  {'S', 0xf0f0},  {'S', 0xf0f0},  {'S', 0xf0f0},
+        {'S', 0x11230}, {'S', 0x11230}, {'S', 0x11230}, {'S', 0x11230},
+    };
+    EXPECT_EQ(rec.seen, expected);
 }
 
 } // namespace

@@ -737,6 +737,38 @@ ruleDirectNetworkSend(const FileCtx& ctx, std::vector<Finding>* out)
 }
 
 // ----------------------------------------------------------------------
+// TBL025 — std::function in the model's continuation layers
+// ----------------------------------------------------------------------
+
+void
+ruleStdFunction(const FileCtx& ctx, std::vector<Finding>* out)
+{
+    // The cpu/mem/thrifty/workloads layers pass continuations on every
+    // memory access, so they use the one continuation type,
+    // InlineFunction (sim/inline_function.hh), which stores small
+    // captures inline. A std::function there heap-allocates any
+    // capture wider than two pointers, and the per-access path was
+    // once dominated by exactly those allocations.
+    if (!pathUnder(ctx.path, "src/cpu") &&
+        !pathUnder(ctx.path, "src/mem") &&
+        !pathUnder(ctx.path, "src/thrifty") &&
+        !pathUnder(ctx.path, "src/workloads"))
+        return;
+    const auto& t = ctx.toks;
+    for (std::size_t i = 2; i < t.size(); ++i) {
+        if (!isIdent(t, i, "function") || !isPunct(t, i - 1, "::") ||
+            !isIdent(t, i - 2, "std"))
+            continue;
+        emit(out, ctx, "TBL025", t[i].line,
+             "std::function in a continuation layer — captures wider "
+             "than two pointers cost a heap allocation per call",
+             "use Continuation/ValueContinuation or another "
+             "InlineFunction instance (sim/inline_function.hh); a site "
+             "that must stay copyable needs a tblint-allow reason");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Driver + suppression pass
 // ----------------------------------------------------------------------
 
@@ -847,6 +879,9 @@ ruleCatalog()
          "no direct Network::send from src/mem or src/thrifty — "
          "messages must travel mem::Fabric (or the hop API) so "
          "observer, accounting and partition channels see them"},
+        {"TBL025", "std-function-continuation",
+         "no std::function in src/cpu, src/mem, src/thrifty or "
+         "src/workloads — continuations there are InlineFunctions"},
     };
     return kRules;
 }
@@ -874,6 +909,7 @@ lintContent(const std::string& path, const std::string& content,
     ruleUnsafeQueueAccess(ctx, &raw);
     ruleRawPosixIo(ctx, &raw);
     ruleDirectNetworkSend(ctx, &raw);
+    ruleStdFunction(ctx, &raw);
 
     std::vector<Finding> kept;
     for (Finding& f : raw) {

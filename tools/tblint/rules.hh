@@ -46,6 +46,10 @@
  *           (or the per-hop API) so the coherence observer, byte
  *           accounting and cross-partition channels all see them;
  *           the fabric's own wrappers carry inline allows.
+ *   TBL025  performance: std::function in src/cpu, src/mem,
+ *           src/thrifty or src/workloads — continuations there are
+ *           InlineFunctions (sim/inline_function.hh), which store
+ *           small captures without a heap allocation.
  *
  * Findings are suppressed by an inline comment directive — the allow
  * tag with the rule ID in parentheses, then a mandatory reason — on

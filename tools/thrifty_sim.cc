@@ -27,6 +27,7 @@
 #include "obs/stat_writers.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
+#include "thrifty/bit_predictor.hh"
 #include "workloads/app_profile.hh"
 
 using namespace tb;
@@ -159,6 +160,8 @@ main(int argc, char** argv)
 
     thrifty::ThriftyConfig custom = thrifty::ThriftyConfig::thrifty();
     bool customized = false;
+    workloads::AppProfile app;
+    harness::ConfigKind kind = harness::ConfigKind::Thrifty;
 
     auto need = [&](int& i) -> const char* {
         if (i + 1 >= argc)
@@ -211,6 +214,9 @@ main(int argc, char** argv)
                     fatal("unknown wakeup policy '", v, "'");
             } else if (a == "--predictor") {
                 custom.predictorKind = need(i);
+                // Built here only to reject an unknown kind before
+                // anything is printed.
+                thrifty::makePredictor(custom.predictorKind);
                 customized = true;
             } else if (a == "--cutoff") {
                 custom.overpredictionThreshold =
@@ -272,19 +278,25 @@ main(int argc, char** argv)
             } else if (a == "--compare") {
                 compare = true;
             } else {
-                // A usage error, like the campaign binaries' (exit 2).
                 std::fprintf(stderr,
                              "%s: unknown option '%s' (try --help)\n",
                              argv[0], a.c_str());
                 return 2;
             }
         }
+        app = workloads::appByName(app_name);
+        kind = parseConfig(config);
+    } catch (const std::exception& e) {
+        // A bad command line is a usage error, like the campaign
+        // binaries' (exit 2), and nothing reaches stdout.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
+
+    try {
         harness::SystemConfig sys = harness::SystemConfig::small(dim);
         sys.seed = seed;
         sys.memory.threeHopForwarding = three_hop;
-        const workloads::AppProfile app =
-            workloads::appByName(app_name);
-        const harness::ConfigKind kind = parseConfig(config);
 
         harness::RunOptions opt;
         opt.check = check;
